@@ -197,15 +197,12 @@ void BM_TakeCompleted(benchmark::State& state) {
 BENCHMARK(BM_TakeCompleted);
 
 void BM_MultiChannelAdvance(benchmark::State& state) {
-  // Deterministic parallel channel advance: saturate four independent
-  // channels with deep queues, then repeatedly run them to a horizon via
-  // advance_channels_to — the path the event loops use between interaction
-  // points. Arg = run threads (1 = serial reference; results are
-  // byte-identical at any width, only wall time changes).
+  // Saturate four independent channels with deep queues, then repeatedly
+  // run them to a horizon via advance_channels_to — the path the event
+  // loops use between interaction points.
   sys::SystemConfig cfg = deep_queue_config(8, 8);
   cfg.geometry.channels = 4;
   cfg.geometry.validate();
-  cfg.run_threads = static_cast<std::uint64_t>(state.range(0));
   sys::MemorySystem mem(cfg);
   const trace::Trace tr =
       trace::generate_trace(trace::spec2006_profile("mcf"), 16384);
@@ -228,11 +225,7 @@ void BM_MultiChannelAdvance(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MultiChannelAdvance)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MultiChannelAdvance)->Unit(benchmark::kMicrosecond);
 
 void BM_AdvancePhase(benchmark::State& state) {
   // Analytic fast-forward (DESIGN.md §12): a write-heavy closed-loop run is

@@ -11,8 +11,8 @@
 //    deep-queue config — dominated by high-watermark drain windows, the
 //    regime the analytic write-drain phase replays in closed form;
 //  * multi-channel throughput: the milc workload on the same 4x4 config
-//    widened to 4 channels (serial advance, run_threads=1) — tracks the
-//    per-channel due caches and the windowed channel advance;
+//    widened to 4 channels — tracks the per-channel due caches and the
+//    windowed channel advance;
 //  * sharded tile-runtime throughput: the multi-channel workload pushed
 //    through the shard-per-thread tile topology (DESIGN.md §14) — tracks the
 //    SPSC ring hand-off, the per-channel clock advance, and the
@@ -28,9 +28,8 @@
 //    and the indexed wake schedule (DESIGN.md §10);
 //  * many-core engine throughput: 256 tenants (the evaluation mix rotated)
 //    multiprogrammed through per-core record sources — tracks the indexed
-//    wake calendar (DESIGN.md §16); the same mix re-run with
-//    FGNVM_WAKE_CALENDAR=0 (legacy min-scan) and once at 1024 cores are
-//    reported as informational A/B references;
+//    wake calendar (DESIGN.md §16); a 1024-core run is reported as an
+//    informational reference;
 //  * serve-path throughput: the multi-channel workload streamed through
 //    the epoll front tier (DESIGN.md §15) by four loopback socketpair
 //    clients — batched frame decode, batched ring submission, completion
@@ -147,12 +146,11 @@ int main(int argc, char** argv) {
       static_cast<double>(ops) * runs / wd_secs;
 
   // Multi-channel throughput: the end-to-end workload spread over four
-  // channels, serial advance — time here is dominated by how cheaply the
-  // system skips not-due channels.
+  // channels — time here is dominated by how cheaply the system skips
+  // not-due channels.
   sys::SystemConfig mc_cfg = sys::fgnvm_config(4, 4);
   mc_cfg.geometry.channels = 4;
   mc_cfg.geometry.validate();
-  mc_cfg.run_threads = 1;
   (void)sim::run_workload(tr, mc_cfg);  // warm-up
   const auto tm = clock::now();
   for (int i = 0; i < runs; ++i) {
@@ -289,9 +287,7 @@ int main(int argc, char** argv) {
   // runnable every cycle and the two schedules do the same work). Per-tenant
   // traces are short (ops/64) so the figure tracks the engine's
   // per-iteration cost at high core counts, not trace length. The gated key
-  // is the calendar run; the same mix is re-run with FGNVM_WAKE_CALENDAR=0
-  // (legacy min-scan) as the same-commit A/B reference, and once at 1024
-  // cores — both informational.
+  // is the 256-core run; a 1024-core run is informational.
   const std::uint64_t mc_ops = std::max<std::uint64_t>(ops / 64, 64);
   const auto tenant_traces = [&](std::size_t n) {
     std::vector<trace::Trace> out;
@@ -336,7 +332,6 @@ int main(int argc, char** argv) {
     return true;
   };
   double multicore_256_ops_per_sec = 0.0;
-  double multicore_256_legacy_ops_per_sec = 0.0;
   double multicore_1024_ops_per_sec = 0.0;
   if (!manycore_once(mc_256, 256)) {  // warm-up
     std::cerr << "perf_smoke: multicore warm-up did no work\n";
@@ -346,12 +341,6 @@ int main(int argc, char** argv) {
                       multicore_256_ops_per_sec)) {
     return 1;
   }
-  ::setenv("FGNVM_WAKE_CALENDAR", "0", 1);
-  const bool legacy_ok =
-      manycore_timed(mc_256, 256, runs, "multicore-256-legacy",
-                     multicore_256_legacy_ops_per_sec);
-  ::unsetenv("FGNVM_WAKE_CALENDAR");
-  if (!legacy_ok) return 1;
   if (!manycore_timed(mc_1024, 1024, 1, "multicore-1024",
                       multicore_1024_ops_per_sec)) {
     return 1;
@@ -544,8 +533,6 @@ int main(int argc, char** argv) {
        << compute_bound_mem_ops_per_sec << ",\n"
        << "  \"multicore_256_ops_per_sec\": " << multicore_256_ops_per_sec
        << ",\n"
-       << "  \"multicore_256_legacy_ops_per_sec\": "
-       << multicore_256_legacy_ops_per_sec << ",\n"
        << "  \"multicore_1024_ops_per_sec\": " << multicore_1024_ops_per_sec
        << ",\n"
        << "  \"multicore_ops_per_core\": " << mc_ops << ",\n"
@@ -581,11 +568,6 @@ int main(int argc, char** argv) {
             << "multicore-256 ops/sec: " << multicore_256_ops_per_sec << " ("
             << runs << " x 256 cores x " << mc_ops
             << " ops, wake calendar)\n"
-            << "multicore-256 legacy ops/sec: "
-            << multicore_256_legacy_ops_per_sec << " (same mix, min-scan; "
-            << "calendar speedup "
-            << multicore_256_ops_per_sec / multicore_256_legacy_ops_per_sec
-            << "x)\n"
             << "multicore-1024 ops/sec: " << multicore_1024_ops_per_sec
             << " (1 x 1024 cores x " << mc_ops << " ops, wake calendar)\n"
             << "serve frames/sec: " << serve_frames_per_sec << " (" << runs

@@ -28,8 +28,8 @@ unsigned sweep_thread_count(unsigned requested = 0);
 /// Validates a user-supplied thread/shard count: 0 falls back to 1 and
 /// anything above 4x std::thread::hardware_concurrency() is clamped to that
 /// ceiling, each with a one-line warning naming `what` (the config key or
-/// environment variable the value came from). Shared by run_threads /
-/// FGNVM_RUN_THREADS and the tile topology's shard count.
+/// environment variable the value came from). Validates the tile
+/// topology's shard count.
 std::uint64_t clamp_thread_count(std::uint64_t requested, const char* what);
 
 class SweepRunner {

@@ -241,6 +241,8 @@ class Observer {
   }
 
   bool sample_due(Cycle now) const { return now >= next_sample_; }
+  /// First cycle at which sample_due() holds.
+  Cycle next_sample() const { return next_sample_; }
   /// Completes `s` with IPC over the inter-sample span and appends it.
   void record_sample(TimeSeriesSample s);
 

@@ -100,7 +100,8 @@ struct ControllerConfig {
 using BankFactory = std::function<std::unique_ptr<nvm::Bank>()>;
 
 namespace detail {
-/// Mirrors sim::paranoid_mode(): FGNVM_PARANOID set, non-empty and not "0".
+/// FGNVM_PARANOID set, non-empty and not "0". The one parser of that
+/// variable; the runner, the controllers and the tile topology call it.
 bool paranoid_env();
 [[noreturn]] void throw_divergence(const char* what);
 }  // namespace detail

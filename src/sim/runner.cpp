@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
+#include "sched/controller.hpp"
 #include "sim/wake_calendar.hpp"
 
 namespace fgnvm::sim {
@@ -52,24 +52,8 @@ RunResult finalize(const std::string& workload, sys::MemorySystem& mem,
   return r;
 }
 
-bool paranoid_mode() {
-  const char* env = std::getenv("FGNVM_PARANOID");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
 bool event_skip(LoopMode mode) {
   return mode != LoopMode::kCycleAccurate;
-}
-
-/// FGNVM_WAKE_CALENDAR=0 selects the legacy per-iteration min-scan wake
-/// schedule in the multiprogrammed skip loop; anything else (including
-/// unset) selects the indexed wake calendar. Both are bit-identical; the
-/// switch exists for A/B measurement and as a paranoid oracle.
-bool wake_calendar_enabled() {
-  const char* env = std::getenv("FGNVM_WAKE_CALENDAR");
-  return env == nullptr || env[0] == '\0' ||
-         !(env[0] == '0' && env[1] == '\0');
 }
 
 /// Reusable per-thread arena for the multiprogrammed loops (sized once per
@@ -83,10 +67,9 @@ struct RunnerScratch {
   std::vector<std::uint32_t> touched;
   std::vector<mem::MemRequest> done;
 
-  std::vector<Cycle> due;                  // legacy scan / bp probe dues
+  std::vector<Cycle> due;                  // backpressure probe dues
   std::vector<Cycle> synced;               // first cycle not yet executed
   std::vector<cpu::RobCpu::Action> acts;   // last classified action
-  std::vector<std::uint8_t> woken;         // legacy scan wake flags
   std::vector<std::uint8_t> stamp;         // calendar woken-set dedup
   std::vector<std::uint32_t> woken_list;   // calendar woken set (sorted)
   std::vector<std::uint32_t> due_now;      // calendar collect_due output
@@ -112,7 +95,6 @@ struct RunnerScratch {
     due.assign(n, 0);
     synced.assign(n, 0);
     acts.assign(n, cpu::RobCpu::Action{});
-    woken.assign(n, 0);
     stamp.assign(n, 0);
     woken_list.clear();
     due_now.clear();
@@ -289,7 +271,7 @@ RunResult run_workload_loop(trace::RecordSource& source,
 MultiProgramResult run_multiprogrammed_loop(
     const std::vector<trace::RecordSource*>& sources,
     const SystemFactory& make_system, const cpu::CpuParams& cpu_params,
-    Cycle max_mem_cycles, bool skip, bool use_calendar) {
+    Cycle max_mem_cycles, bool skip) {
   const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system();
   sys::MemorySystem& mem = *mem_ptr;
   if (!skip) mem.set_eager_ticking(true);
@@ -381,18 +363,27 @@ MultiProgramResult run_multiprogrammed_loop(
     return build_result(t);
   }
 
-  // Indexed wake schedule: each core carries a due cycle (the memory cycle
-  // of its next externally visible action, kNeverCycle while only a read
-  // completion can wake it) and a synced watermark (the first memory cycle
-  // it has not yet executed). An iteration ticks only the cores that are
-  // due or just received a completion; everyone else is fast-forwarded
-  // lazily when next woken (`advance_to` is bit-identical to ticking).
-  // With an observer attached every unfinished core is woken each
-  // iteration, so the instruction source reads exact values at every
-  // sampled epoch.
+  // Wake-calendar schedule (DESIGN.md §16). Each core carries a synced
+  // watermark (the first memory cycle it has not yet executed) and is
+  //  * armed   — next action is a known submission cycle; indexed in the
+  //    calendar, woken by collect_due(t);
+  //  * blocked — backpressured at its next record; kept in a dense
+  //    `bp_list` with a probe due and re-probed every iteration (another
+  //    core's submission can pull the blocked channel's tick earlier, so
+  //    these dues are not stable enough to index);
+  //  * stalled — wakes only on a read completion; tracked nowhere.
+  // An iteration ticks the woken set ({completion-touched} ∪ {due <= t}) in
+  // ascending core order (submission order feeds the memory side), touching
+  // O(woken + backpressured) cores; everyone else is fast-forwarded lazily
+  // when next woken (`advance_to` is bit-identical to ticking).
+  //
+  // With an observer attached, two conditions change: every unfinished
+  // core is woken each iteration, so the instruction source reads exact
+  // values, and no skip passes the observer's next epoch sample, so the
+  // time series lands on the cycles the cycle-accurate loop samples.
   using ActionKind = cpu::RobCpu::ActionKind;
   const bool windows = mem.lazy_scheduling();
-  const bool lazy_cores = mem.observer() == nullptr;
+  const obs::Observer* const observer = mem.observer();
   std::vector<Cycle>& due = scratch.due;
   std::vector<Cycle>& synced = scratch.synced;
   std::vector<cpu::RobCpu::Action>& acts = scratch.acts;
@@ -404,246 +395,135 @@ MultiProgramResult run_multiprogrammed_loop(
     }
   };
 
-  if (lazy_cores && use_calendar) {
-    // Wake-calendar schedule (DESIGN.md §16): cores are partitioned into
-    //  * armed   — next action is a known submission cycle; indexed in the
-    //    calendar, woken by collect_due(t);
-    //  * blocked — backpressured at their next record; kept in a dense
-    //    `bp_list` and re-probed every iteration (another core's submission
-    //    can pull the blocked channel's tick earlier, so their due cycles
-    //    are not stable enough to index);
-    //  * stalled — wake only on a read completion; tracked nowhere.
-    // An iteration touches O(woken + backpressured) cores instead of
-    // O(cores). Bit-identity with the legacy full scan below: the woken
-    // set is identical ({completion-touched} ∪ {due <= t}), processed in
-    // the same ascending core order (submission order feeds the memory
-    // side), with the same re-arm and probe rules.
-    WakeCalendar& cal = scratch.calendar;
-    cal.reset(n);
-    std::vector<std::uint32_t>& woken_list = scratch.woken_list;
-    std::vector<std::uint32_t>& due_now = scratch.due_now;
-    std::vector<std::uint8_t>& stamp = scratch.stamp;
-    std::vector<std::uint32_t>& bp_list = scratch.bp_list;
-    std::vector<std::uint32_t>& bp_pos = scratch.bp_pos;
-    constexpr std::uint32_t kNpos = RunnerScratch::kNpos;
-    const auto bp_remove = [&](std::uint32_t i) {
-      const std::uint32_t pos = bp_pos[i];
-      if (pos == kNpos) return;
-      const std::uint32_t last = bp_list.back();
-      bp_list[pos] = last;
-      bp_pos[last] = pos;
-      bp_list.pop_back();
-      bp_pos[i] = kNpos;
-    };
-    // Everyone starts due at cycle 0 (the legacy loop's due[] = 0 init).
-    for (std::uint32_t i = 0; i < n; ++i) cal.schedule(i, 0);
-
-    Cycle t = 0;
-    while (unfinished > 0 || !mem.idle()) {
-      if (t >= max_mem_cycles) {
-        throw std::runtime_error(
-            "run_multiprogrammed: exceeded max_mem_cycles");
-      }
-      route_completions();
-      woken_list.clear();
-      for (const std::uint32_t i : scratch.touched) {
-        if (!cores[i]->finished() && !stamp[i]) {
-          stamp[i] = 1;
-          woken_list.push_back(i);
-        }
-      }
-      due_now.clear();
-      cal.collect_due(t, due_now);
-      for (const std::uint32_t i : due_now) {
-        if (!cores[i]->finished() && !stamp[i]) {
-          stamp[i] = 1;
-          woken_list.push_back(i);
-        }
-      }
-      for (const std::uint32_t i : bp_list) {
-        if (due[i] <= t && !stamp[i]) {
-          stamp[i] = 1;
-          woken_list.push_back(i);
-        }
-      }
-      std::sort(woken_list.begin(), woken_list.end());
-      for (const std::uint32_t i : woken_list) {
-        stamp[i] = 0;
-        // A completion invalidates the cached action (retirement unblocks,
-        // so the core may reach its next record sooner); catch up to the
-        // present first so the answered flag lands in a state identical to
-        // eager.
-        if (!per_core[i].empty()) {
-          catch_up(i, t);
-          cores[i]->complete(per_core[i]);
-        }
-        catch_up(i, t);
-        cores[i]->tick_mem_cycle(t);
-        synced[i] = t + 1;
-      }
-      mem.tick(t);
-      for (const std::uint32_t i : woken_list) {
-        if (cores[i]->finished()) {
-          --unfinished;
-          cal.cancel(i);
-          bp_remove(i);
-          acts[i].kind = ActionKind::kStalled;
-          continue;
-        }
-        acts[i] = cores[i]->next_action(t + 1);
-        if (acts[i].kind == ActionKind::kActs) {
-          cal.schedule(i, acts[i].cycle);
-          bp_remove(i);
-        } else if (acts[i].kind == ActionKind::kBackpressured) {
-          cal.cancel(i);
-          if (bp_pos[i] == kNpos) {
-            bp_pos[i] = static_cast<std::uint32_t>(bp_list.size());
-            bp_list.push_back(i);
-          }
-        } else {  // kStalled: only a read completion can wake it
-          cal.cancel(i);
-          bp_remove(i);
-        }
-      }
-      // Refresh every backpressured core (woken or not): a tick this very
-      // cycle may already have freed space — probe can_accept so the wake
-      // lands on the first acceptable cycle.
-      Cycle bp_min = kNeverCycle;
-      for (const std::uint32_t i : bp_list) {
-        if (mem.can_accept(acts[i].addr, acts[i].op)) {
-          due[i] = t + 1;
-        } else if (windows) {
-          due[i] = std::max(mem.accept_event(acts[i].addr), t + 1);
-        } else {
-          due[i] = t + 1;
-        }
-        bp_min = std::min(bp_min, due[i]);
-      }
-      const Cycle min_due = std::min(cal.min_due(), bp_min);
-      Cycle next = t + 1;
-      bool advanced = false;
-      if (windows) {
-        // Windowed advance: run every channel along its own event chain up
-        // to the earliest cycle any core could be disturbed or act. Valid
-        // bounds only — during pure write drain with every core stalled or
-        // finished, fall through to the event path so the final mem_cycles
-        // matches the per-event schedule.
-        const Cycle horizon = std::min(mem.completion_bound(t), min_due);
-        if (horizon != kNeverCycle &&
-            std::min(horizon, max_mem_cycles) > next) {
-          next = std::min(horizon, max_mem_cycles);
-          mem.advance_channels_to(next);
-          advanced = true;
-        }
-      }
-      if (!advanced) {
-        const Cycle event = std::min(mem.next_event(t), min_due);
-        if (event > next && event != kNeverCycle) {
-          next = std::min(event, max_mem_cycles);
-        }
-      }
-      // next <= min_due (both branches bound by it), so the calendar base
-      // never jumps past an armed wake.
-      cal.advance_to(next);
-      t = next;
+  WakeCalendar& cal = scratch.calendar;
+  cal.reset(n);
+  std::vector<std::uint32_t>& woken_list = scratch.woken_list;
+  std::vector<std::uint32_t>& due_now = scratch.due_now;
+  std::vector<std::uint8_t>& stamp = scratch.stamp;
+  std::vector<std::uint32_t>& bp_list = scratch.bp_list;
+  std::vector<std::uint32_t>& bp_pos = scratch.bp_pos;
+  constexpr std::uint32_t kNpos = RunnerScratch::kNpos;
+  const auto wake = [&](std::uint32_t i) {
+    if (!stamp[i]) {
+      stamp[i] = 1;
+      woken_list.push_back(i);
     }
-    return build_result(t);
-  }
-
-  // Legacy full-scan schedule: O(cores) due min-reduction and woken sweep
-  // per iteration. Retained as the FGNVM_WAKE_CALENDAR=0 A/B variant and
-  // the paranoid differential oracle for the calendar above; also the
-  // observer-mode path (an observer wakes every core each iteration, so an
-  // index buys nothing).
-  std::vector<std::uint8_t>& woken = scratch.woken;
+  };
+  const auto bp_remove = [&](std::uint32_t i) {
+    const std::uint32_t pos = bp_pos[i];
+    if (pos == kNpos) return;
+    const std::uint32_t last = bp_list.back();
+    bp_list[pos] = last;
+    bp_pos[last] = pos;
+    bp_list.pop_back();
+    bp_pos[i] = kNpos;
+  };
+  // Everyone starts due at cycle 0.
+  for (std::uint32_t i = 0; i < n; ++i) cal.schedule(i, 0);
 
   Cycle t = 0;
   while (unfinished > 0 || !mem.idle()) {
     if (t >= max_mem_cycles) {
       throw std::runtime_error("run_multiprogrammed: exceeded max_mem_cycles");
     }
-    const bool delivered = route_completions();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cores[i]->finished()) {
-        woken[i] = 0;
-        continue;
+    route_completions();
+    woken_list.clear();
+    for (const std::uint32_t i : scratch.touched) {
+      if (!cores[i]->finished()) wake(i);
+    }
+    due_now.clear();
+    cal.collect_due(t, due_now);
+    for (const std::uint32_t i : due_now) {
+      if (!cores[i]->finished()) wake(i);
+    }
+    for (const std::uint32_t i : bp_list) {
+      if (due[i] <= t) wake(i);
+    }
+    if (observer != nullptr) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (!cores[i]->finished()) wake(i);
       }
+    }
+    std::sort(woken_list.begin(), woken_list.end());
+    for (const std::uint32_t i : woken_list) {
+      stamp[i] = 0;
       // A completion invalidates the cached action (retirement unblocks, so
       // the core may reach its next record sooner); catch up to the present
       // first so the answered flag lands in a state identical to eager.
-      if (delivered && !per_core[i].empty()) {
+      if (!per_core[i].empty()) {
         catch_up(i, t);
         cores[i]->complete(per_core[i]);
-        woken[i] = 1;
-      } else {
-        woken[i] = !lazy_cores || due[i] <= t;
       }
-      if (woken[i]) {
-        catch_up(i, t);
-        cores[i]->tick_mem_cycle(t);
-        synced[i] = t + 1;
-      }
+      catch_up(i, t);
+      cores[i]->tick_mem_cycle(t);
+      synced[i] = t + 1;
     }
     mem.tick(t);
-    // Re-arm the cores that ran; refresh every backpressured core (woken or
-    // not): another core's submission can pull the blocked channel's tick
-    // earlier, and a tick this very cycle may already have freed space —
-    // probe can_accept so the wake lands on the first acceptable cycle.
-    for (std::size_t i = 0; i < n; ++i) {
+    for (const std::uint32_t i : woken_list) {
       if (cores[i]->finished()) {
-        if (woken[i]) --unfinished;
-        due[i] = kNeverCycle;
+        --unfinished;
+        cal.cancel(i);
+        bp_remove(i);
         acts[i].kind = ActionKind::kStalled;
         continue;
       }
-      if (woken[i]) {
-        acts[i] = cores[i]->next_action(t + 1);
-        due[i] = acts[i].kind == ActionKind::kActs ? acts[i].cycle
-                                                   : kNeverCycle;
-      }
-      if (acts[i].kind == ActionKind::kBackpressured) {
-        if (mem.can_accept(acts[i].addr, acts[i].op)) {
-          due[i] = t + 1;
-        } else if (windows) {
-          due[i] = std::max(mem.accept_event(acts[i].addr), t + 1);
-        } else {
-          due[i] = t + 1;
+      acts[i] = cores[i]->next_action(t + 1);
+      if (acts[i].kind == ActionKind::kActs) {
+        cal.schedule(i, acts[i].cycle);
+        bp_remove(i);
+      } else if (acts[i].kind == ActionKind::kBackpressured) {
+        cal.cancel(i);
+        if (bp_pos[i] == kNpos) {
+          bp_pos[i] = static_cast<std::uint32_t>(bp_list.size());
+          bp_list.push_back(i);
         }
+      } else {  // kStalled: only a read completion can wake it
+        cal.cancel(i);
+        bp_remove(i);
       }
     }
-    Cycle min_due = kNeverCycle;
-    for (const Cycle d : due) min_due = std::min(min_due, d);
+    // Refresh every backpressured core (woken or not): a tick this very
+    // cycle may already have freed space — probe can_accept so the wake
+    // lands on the first acceptable cycle.
+    Cycle bp_min = kNeverCycle;
+    for (const std::uint32_t i : bp_list) {
+      if (mem.can_accept(acts[i].addr, acts[i].op)) {
+        due[i] = t + 1;
+      } else if (windows) {
+        due[i] = std::max(mem.accept_event(acts[i].addr), t + 1);
+      } else {
+        due[i] = t + 1;
+      }
+      bp_min = std::min(bp_min, due[i]);
+    }
+    const Cycle min_due = std::min(cal.min_due(), bp_min);
     Cycle next = t + 1;
-    if (lazy_cores) {
-      bool advanced = false;
-      if (windows) {
-        // Windowed advance: run every channel along its own event chain up
-        // to the earliest cycle any core could be disturbed or act. Valid
-        // bounds only — during pure write drain with every core stalled or
-        // finished, fall through to the event path so the final mem_cycles
-        // matches the per-event schedule.
-        const Cycle horizon = std::min(mem.completion_bound(t), min_due);
-        if (horizon != kNeverCycle &&
-            std::min(horizon, max_mem_cycles) > next) {
-          next = std::min(horizon, max_mem_cycles);
-          mem.advance_channels_to(next);
-          advanced = true;
-        }
+    bool advanced = false;
+    if (windows) {
+      // Windowed advance: run every channel along its own event chain up to
+      // the earliest cycle any core could be disturbed or act. Valid bounds
+      // only — during pure write drain with every core stalled or finished,
+      // fall through to the event path so the final mem_cycles matches the
+      // per-event schedule.
+      const Cycle horizon = std::min(mem.completion_bound(t), min_due);
+      if (horizon != kNeverCycle && std::min(horizon, max_mem_cycles) > next) {
+        next = std::min(horizon, max_mem_cycles);
+        mem.advance_channels_to(next);
+        advanced = true;
       }
-      if (!advanced) {
-        const Cycle event = std::min(mem.next_event(t), min_due);
-        if (event > next && event != kNeverCycle) {
-          next = std::min(event, max_mem_cycles);
-        }
-      }
-    } else {
-      // Observer mode: cores tick every iteration, so only skip spans the
-      // memory side proves empty (the pre-fast-forward behaviour).
+    }
+    if (!advanced) {
       const Cycle event = std::min(mem.next_event(t), min_due);
       if (event > next && event != kNeverCycle) {
         next = std::min(event, max_mem_cycles);
       }
     }
+    // An observer turns windows off (no channel was advanced), and its next
+    // sample lies past t, so the cap keeps next > t.
+    if (observer != nullptr) next = std::min(next, observer->next_sample());
+    // next <= min_due (every branch is bound by it), so the calendar base
+    // never jumps past an armed wake.
+    cal.advance_to(next);
     t = next;
   }
   return build_result(t);
@@ -794,7 +674,7 @@ RunResult run_workload_impl(trace::RecordSource& source,
                             Cycle max_mem_cycles, LoopMode mode) {
   RunResult r = run_workload_loop(source, make_system, cpu_params,
                                   max_mem_cycles, event_skip(mode));
-  if (mode == LoopMode::kAuto && paranoid_mode()) {
+  if (mode == LoopMode::kAuto && sched::detail::paranoid_env()) {
     const RunResult ref = run_workload_loop(source, make_system, cpu_params,
                                             max_mem_cycles, /*skip=*/false);
     const std::string diff = diff_results(ref, r);
@@ -905,31 +785,14 @@ MultiProgramResult run_multiprogrammed_impl(
   if (sources.empty()) {
     throw std::invalid_argument("run_multiprogrammed: no traces");
   }
-  const bool use_calendar = wake_calendar_enabled();
-  MultiProgramResult r =
-      run_multiprogrammed_loop(sources, make_system, cpu_params,
-                               max_mem_cycles, event_skip(mode), use_calendar);
-  if (mode == LoopMode::kAuto && paranoid_mode()) {
-    // Tri-oracle: the primary skip run must match both the cycle-accurate
-    // reference and the other wake-schedule variant (calendar vs. legacy
-    // scan), so the calendar is differentially checked on every paranoid
-    // run regardless of FGNVM_WAKE_CALENDAR.
-    const MultiProgramResult ref =
-        run_multiprogrammed_loop(sources, make_system, cpu_params,
-                                 max_mem_cycles, /*skip=*/false, use_calendar);
+  MultiProgramResult r = run_multiprogrammed_loop(
+      sources, make_system, cpu_params, max_mem_cycles, event_skip(mode));
+  if (mode == LoopMode::kAuto && sched::detail::paranoid_env()) {
+    const MultiProgramResult ref = run_multiprogrammed_loop(
+        sources, make_system, cpu_params, max_mem_cycles, /*skip=*/false);
     const std::string diff = diff_results(ref, r);
     if (!diff.empty()) {
       throw_mismatch("multiprogram / " + label, diff);
-    }
-    const MultiProgramResult alt = run_multiprogrammed_loop(
-        sources, make_system, cpu_params, max_mem_cycles, /*skip=*/true,
-        !use_calendar);
-    const std::string wake_diff = diff_results(alt, r);
-    if (!wake_diff.empty()) {
-      throw std::runtime_error(
-          "FGNVM_PARANOID: wake-calendar and legacy-scan runs of "
-          "multiprogram / " +
-          label + " diverged: " + wake_diff);
     }
   }
   return r;
@@ -955,7 +818,7 @@ RunResult run_memory_only_impl(trace::RecordSource& source,
                                LoopMode mode) {
   RunResult r = run_memory_only_loop(source, make_system, max_mem_cycles,
                                      event_skip(mode));
-  if (mode == LoopMode::kAuto && paranoid_mode()) {
+  if (mode == LoopMode::kAuto && sched::detail::paranoid_env()) {
     const RunResult ref = run_memory_only_loop(source, make_system,
                                                max_mem_cycles, /*skip=*/false);
     const std::string diff = diff_results(ref, r);

@@ -158,9 +158,8 @@ MultiProgramResult run_multiprogrammed(
 /// the trace length.
 ///
 /// The skip loop's wake schedule is the indexed wake calendar
-/// (src/sim/wake_calendar.hpp); set FGNVM_WAKE_CALENDAR=0 to fall back to
-/// the legacy per-iteration min-scan. Both produce bit-identical results,
-/// and FGNVM_PARANOID cross-checks calendar vs. scan vs. cycle-accurate.
+/// (src/sim/wake_calendar.hpp); FGNVM_PARANOID cross-checks it against the
+/// cycle-accurate loop.
 MultiProgramResult run_multiprogrammed(
     const std::vector<trace::RecordSource*>& sources,
     const sys::SystemConfig& sys_cfg, const cpu::CpuParams& cpu_params = {},

@@ -21,7 +21,7 @@
 // Determinism: every engine decision keys off submit cycles, completion
 // arrival cycles and the per-channel due caches — never off "tick was
 // called every cycle" — so the hybrid stays bit-identical across the three
-// LoopModes and any thread count (the equiv/paranoid suites enforce this).
+// LoopModes (the equiv/paranoid suites enforce this).
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/sweep.hpp"
+
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>

@@ -27,14 +27,10 @@ struct NamedConfig {
   sys::SystemConfig cfg;
 };
 
-/// Widens a preset to `channels` channels; `run_threads` > 1 additionally
-/// turns on the parallel channel advance so the preset sweep covers the
-/// multi-threaded lazy path against the serial cycle-accurate reference.
-sys::SystemConfig with_channels(sys::SystemConfig cfg, std::uint64_t channels,
-                                std::uint64_t run_threads = 1) {
+/// Widens a preset to `channels` channels.
+sys::SystemConfig with_channels(sys::SystemConfig cfg, std::uint64_t channels) {
   cfg.geometry.channels = channels;
   cfg.geometry.validate();
-  cfg.run_threads = run_threads;
   return cfg;
 }
 
@@ -52,9 +48,7 @@ std::vector<NamedConfig> preset_configs() {
       // advance must stay bit-identical when requests spread over channels.
       {"fgnvm_4x4_ch4", with_channels(sys::fgnvm_config(4, 4), 4)},
       {"dram_ch4", with_channels(sys::dram_config(), 4)},
-      // Same geometries with the parallel channel advance enabled.
-      {"fgnvm_4x4_ch4_mt", with_channels(sys::fgnvm_config(4, 4), 4, 4)},
-      {"dram_salp4_ch4_mt", with_channels(sys::dram_config(4), 4, 4)},
+      {"dram_salp4_ch4", with_channels(sys::dram_config(4), 4)},
   };
 }
 
@@ -185,45 +179,6 @@ TEST_P(ComputeBoundEquivTest, RunMultiprogrammedBitIdentical) {
   }
 }
 
-// The parallel channel advance promises byte-identical results at any
-// thread count (channels buffer completions independently; drains merge in
-// channel order). Compare every entry point at 1 vs 4 run threads directly,
-// for both bank kinds, under the event-skip loop that actually uses
-// advance_channels_to.
-TEST(MultiChannelEquiv, ThreadCountInvariant) {
-  const std::vector<trace::Trace> traces = workloads();
-  for (const sys::SystemConfig& base :
-       {sys::fgnvm_config(4, 4), sys::dram_config(4)}) {
-    const sys::SystemConfig serial = with_channels(base, 4, 1);
-    const sys::SystemConfig threaded = with_channels(base, 4, 4);
-    for (const trace::Trace& tr : traces) {
-      EXPECT_EQ(
-          sim::diff_results(
-              sim::run_workload(tr, serial, {}, 500'000'000,
-                                sim::LoopMode::kEventSkip),
-              sim::run_workload(tr, threaded, {}, 500'000'000,
-                                sim::LoopMode::kEventSkip)),
-          "")
-          << base.name << " workload " << tr.name;
-      EXPECT_EQ(
-          sim::diff_results(
-              sim::run_memory_only(tr, serial, 500'000'000,
-                                   sim::LoopMode::kEventSkip),
-              sim::run_memory_only(tr, threaded, 500'000'000,
-                                   sim::LoopMode::kEventSkip)),
-          "")
-          << base.name << " memory-only " << tr.name;
-    }
-    EXPECT_EQ(sim::diff_results(
-                  sim::run_multiprogrammed(traces, serial, {}, 500'000'000,
-                                           sim::LoopMode::kEventSkip),
-                  sim::run_multiprogrammed(traces, threaded, {}, 500'000'000,
-                                           sim::LoopMode::kEventSkip)),
-              "")
-        << base.name << " multiprogrammed";
-  }
-}
-
 std::vector<std::string> preset_names() {
   std::vector<std::string> names;
   for (const NamedConfig& nc : preset_configs()) names.push_back(nc.name);
@@ -234,12 +189,11 @@ INSTANTIATE_TEST_SUITE_P(Presets, EquivTest,
                          ::testing::ValuesIn(preset_names()),
                          [](const auto& info) { return info.param; });
 
-// Fast-forward-heavy presets only: single-channel, windowed multi-channel,
-// and the threaded channel advance, for both bank kinds.
+// Fast-forward-heavy presets only: single-channel and windowed
+// multi-channel, for both bank kinds.
 INSTANTIATE_TEST_SUITE_P(
     Presets, ComputeBoundEquivTest,
-    ::testing::Values("fgnvm_4x4", "dram_salp8", "fgnvm_4x4_ch4",
-                      "fgnvm_4x4_ch4_mt"),
+    ::testing::Values("fgnvm_4x4", "dram_salp8", "fgnvm_4x4_ch4"),
     [](const auto& info) { return info.param; });
 
 }  // namespace

@@ -265,8 +265,6 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
     cfg.geometry.channels = 4;
     cfg.geometry.validate();
     for (const std::uint64_t seed : {11ull, 12ull}) {
-      sys::SystemConfig threaded = cfg;
-      threaded.run_threads = 4;
       const sys::MemorySystem probe(cfg);
       const std::vector<Arrival> plan = plan_arrivals(probe, 500, seed);
       const std::string eager = run_system(cfg, true, false, plan);
@@ -275,8 +273,6 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
           << cfg.name << " lazy seed " << seed;
       EXPECT_EQ(eager, run_system(cfg, false, true, plan))
           << cfg.name << " windowed seed " << seed;
-      EXPECT_EQ(eager, run_system(threaded, false, true, plan))
-          << cfg.name << " threaded seed " << seed;
     }
   }
 }

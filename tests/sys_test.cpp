@@ -3,6 +3,9 @@
 // aggregation works across channels.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sys/memory_system.hpp"
 #include "sys/presets.hpp"
 
@@ -69,6 +72,30 @@ TEST(SystemConfigTest, FromConfigParsesModes) {
   EXPECT_FALSE(sc.modes.partial_activation);
   EXPECT_TRUE(sc.modes.multi_activation);
   EXPECT_FALSE(sc.modes.background_writes);
+}
+
+/// Expects from_config to reject `text`, naming `key` as removed.
+void expect_removed_key(const std::string& text, const std::string& key) {
+  try {
+    SystemConfig::from_config(Config::from_string(text));
+    ADD_FAILURE() << key << " was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + key + "' was removed"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("channel advance is serial"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(SystemConfigTest, RejectsRemovedRunThreadsKey) {
+  // Even the old serial default must fail: silently ignoring the key would
+  // hide that the config asks for something that no longer exists.
+  expect_removed_key("run_threads = 1\n", "run_threads");
+}
+
+TEST(SystemConfigTest, RejectsRemovedTileBackendKey) {
+  expect_removed_key("tile_backend = false\n", "tile_backend");
 }
 
 TEST(MemorySystemTest, CompletesARead) {

@@ -9,7 +9,7 @@
 //                          and serial, across two presets.
 //  * TileAnchor          — single-channel tile semantics coincide with
 //                          sim::run_memory_only's submission/tick schedule.
-//  * TileThreadCount     — run_threads / FGNVM_RUN_THREADS validation.
+//  * TileThreadCount     — thread/shard count validation.
 //  * TileFrame           — fgnvm_serve wire codec roundtrip, framing, and
 //                          decode_batch (zero-copy views, chop fuzz,
 //                          oversized rejection mid-batch).
@@ -19,10 +19,6 @@
 //                          state diffed against the serial single-stream
 //                          reference; plus a tiny-ring backpressure case
 //                          (parks > 0, still diff-clean).
-//  * TileBackend         — tile_backend routes run_memory_only /
-//                          run_multiprogrammed channel advance through the
-//                          tile pool byte-identically (config key +
-//                          FGNVM_TILE_BACKEND override).
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -32,14 +28,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/sweep.hpp"
 #include "mem/geometry.hpp"
 #include "sim/runner.hpp"
@@ -298,23 +292,6 @@ TEST(TileThreadCount, ClampsInvalidValues) {
   EXPECT_EQ(sim::clamp_thread_count(ceiling, "test"), ceiling);
   EXPECT_EQ(sim::clamp_thread_count(ceiling + 1, "test"), ceiling);
   EXPECT_EQ(sim::clamp_thread_count(1'000'000, "test"), ceiling);
-}
-
-TEST(TileThreadCount, RunThreadsEnvOverride) {
-  ::setenv("FGNVM_RUN_THREADS", "2", 1);
-  EXPECT_EQ(sys::effective_run_threads(1), 2u);
-  ::setenv("FGNVM_RUN_THREADS", "not_a_number", 1);
-  EXPECT_EQ(sys::effective_run_threads(3), 3u);  // warns, keeps configured
-  ::setenv("FGNVM_RUN_THREADS", "0", 1);
-  EXPECT_EQ(sys::effective_run_threads(3), 3u);
-  ::setenv("FGNVM_RUN_THREADS", "-4", 1);
-  EXPECT_EQ(sys::effective_run_threads(3), 3u);
-  ::setenv("FGNVM_RUN_THREADS", "1000000", 1);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_EQ(sys::effective_run_threads(1), 4ULL * hw);  // warns, clamps
-  ::unsetenv("FGNVM_RUN_THREADS");
-  EXPECT_EQ(sys::effective_run_threads(0), 1u);  // config 0 warns, min 1
-  EXPECT_EQ(sys::effective_run_threads(2), 2u);
 }
 
 // ----------------------------------------------------------------- frames
@@ -982,102 +959,6 @@ TEST(TileFrontMultiClient, BackpressureParksAndStaysDiffClean) {
   // one client that was parked.
   EXPECT_EQ(r.totals.busy_frames, r.totals.parks);
   EXPECT_EQ(r.outcomes[0].busy_frames, r.totals.busy_frames);
-}
-
-// ------------------------------------------------------------ tile backend
-
-TEST(TileBackend, MemoryOnlyByteIdenticalOnOffSerial) {
-  // tile_backend reroutes MemorySystem's channel advance through the
-  // TileAdvancePool (static ch % lanes ownership, SPSC rings) instead of
-  // the SweepRunner work queue. Same per-channel work, different engine:
-  // results must be byte-identical to both the pool and the serial path.
-  const sys::SystemConfig base = with_channels(sys::fgnvm_config(8, 32), 4);
-  const trace::Trace tr = mixed_trace(4000);
-
-  sys::SystemConfig serial = base;
-  serial.run_threads = 1;
-  sys::SystemConfig pooled = base;
-  pooled.run_threads = 4;
-  pooled.tile_backend = false;
-  sys::SystemConfig tiled = base;
-  tiled.run_threads = 4;
-  tiled.tile_backend = true;
-
-  const sim::RunResult r_serial = sim::run_memory_only(tr, serial);
-  const sim::RunResult r_pool = sim::run_memory_only(tr, pooled);
-  const sim::RunResult r_tile = sim::run_memory_only(tr, tiled);
-  EXPECT_EQ(sim::diff_results(r_tile, r_serial), "");
-  EXPECT_EQ(sim::diff_results(r_tile, r_pool), "");
-}
-
-TEST(TileBackend, MultiprogrammedByteIdenticalOnOff) {
-  // The multiprogrammed loop reaches advance_channels_to through the same
-  // MemorySystem, so the bench drivers (fig4/fig5, ablation) inherit the
-  // tile backend purely via the config key — no driver changes.
-  const sys::SystemConfig base = with_channels(sys::fgnvm_config(8, 32), 4);
-  const std::vector<trace::Trace> traces = {mixed_trace(1200),
-                                            read_heavy_trace(1200)};
-
-  sys::SystemConfig serial = base;
-  serial.run_threads = 1;
-  sys::SystemConfig tiled = base;
-  tiled.run_threads = 4;
-  tiled.tile_backend = true;
-
-  const sim::MultiProgramResult r_serial =
-      sim::run_multiprogrammed(traces, serial);
-  const sim::MultiProgramResult r_tile =
-      sim::run_multiprogrammed(traces, tiled);
-  EXPECT_EQ(sim::diff_results(r_tile, r_serial), "");
-}
-
-TEST(TileBackend, ConfigKeyParsesIntoSystemConfig) {
-  const Config cfg =
-      Config::from_string("tile_backend = true\nrun_threads = 4\n");
-  const sys::SystemConfig sc = sys::SystemConfig::from_config(cfg);
-  EXPECT_TRUE(sc.tile_backend);
-  EXPECT_EQ(sc.run_threads, 4u);
-  const sys::SystemConfig dflt =
-      sys::SystemConfig::from_config(Config::from_string(""));
-  EXPECT_FALSE(dflt.tile_backend);
-}
-
-TEST(TileBackend, EnvOverrideActivatesAndDeactivates) {
-  sys::SystemConfig on = with_channels(sys::fgnvm_config(8, 32), 4);
-  on.run_threads = 4;
-  on.tile_backend = true;
-  sys::SystemConfig off = on;
-  off.tile_backend = false;
-
-  {
-    sys::MemorySystem ms(on);
-    EXPECT_TRUE(ms.tile_backend_active());
-    EXPECT_EQ(ms.run_threads(), 4u);
-  }
-  {
-    sys::MemorySystem ms(off);
-    EXPECT_FALSE(ms.tile_backend_active());
-    EXPECT_EQ(ms.run_threads(), 4u);  // SweepRunner path, same lane count
-  }
-  ::setenv("FGNVM_TILE_BACKEND", "1", 1);
-  {
-    sys::MemorySystem ms(off);
-    EXPECT_TRUE(ms.tile_backend_active());
-  }
-  ::setenv("FGNVM_TILE_BACKEND", "0", 1);
-  {
-    sys::MemorySystem ms(on);
-    EXPECT_FALSE(ms.tile_backend_active());
-  }
-  ::unsetenv("FGNVM_TILE_BACKEND");
-  {
-    // Single channel: no parallel advance to run, so neither engine spins
-    // up regardless of the flag.
-    sys::SystemConfig one = with_channels(on, 1);
-    sys::MemorySystem ms(one);
-    EXPECT_FALSE(ms.tile_backend_active());
-    EXPECT_EQ(ms.run_threads(), 1u);
-  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // generator encodes, and the SPEC2006-like profile set is well-formed.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -234,6 +235,15 @@ TEST(SpecProfiles, LookupByName) {
   EXPECT_EQ(spec2006_profile("mcf").name, "mcf");
   EXPECT_THROW(spec2006_profile("doom"), std::runtime_error);
 }
+
+}  // namespace
+
+// Found by ADL when gtest names the parameterized instances. Without it gtest
+// dumps the profile's raw bytes, whose leading std::string data pointer is a
+// heap address, so the test names would change from build to build.
+void PrintTo(const WorkloadProfile& p, std::ostream* os) { *os << p.name; }
+
+namespace {
 
 // Property sweep: every profile generates a trace matching its own spec.
 class ProfileFidelity : public ::testing::TestWithParam<WorkloadProfile> {};

@@ -2,11 +2,10 @@
 // the wheel/heap/lazy-invalidation structure, a randomized model-based fuzz
 // (wakes never overshoot, min_due is exact), and the differential matrix
 // pinning the calendar-scheduled multiprogrammed loop bit-identical to the
-// legacy min-scan and the cycle-accurate reference.
+// cycle-accurate reference, with and without an observer attached.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <random>
 #include <vector>
@@ -188,7 +187,7 @@ TEST(WakeCalendar, RandomizedModelFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: calendar vs legacy min-scan vs cycle-accurate.
+// Differential suite: calendar vs cycle-accurate.
 
 std::vector<trace::Trace> mixed_traces(std::size_t cores, std::uint64_t ops,
                                        double mpki = 0.0) {
@@ -208,64 +207,59 @@ std::vector<trace::Trace> mixed_traces(std::size_t cores, std::uint64_t ops,
   return v;
 }
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
 template <typename Config>
 MultiProgramResult run_mp(const std::vector<trace::Trace>& traces,
-                          const Config& cfg, LoopMode mode, bool calendar) {
-  ScopedEnv env("FGNVM_WAKE_CALENDAR", calendar ? "1" : "0");
+                          const Config& cfg, LoopMode mode) {
   return run_multiprogrammed(traces, cfg, {}, 500'000'000, mode);
 }
 
+/// Runs the mix under the calendar and the cycle-accurate loop and expects
+/// identical stats and, when an observer is attached, an identical epoch
+/// time-series. Returns the cycle-accurate result.
 template <typename Config>
-void expect_tri_identical(const std::vector<trace::Trace>& traces,
-                          const Config& cfg, const std::string& label) {
-  const MultiProgramResult cal =
-      run_mp(traces, cfg, LoopMode::kEventSkip, true);
-  const MultiProgramResult scan =
-      run_mp(traces, cfg, LoopMode::kEventSkip, false);
-  EXPECT_EQ(diff_results(cal, scan), "") << label << ": calendar vs scan";
-  const MultiProgramResult eager =
-      run_mp(traces, cfg, LoopMode::kCycleAccurate, true);
+MultiProgramResult expect_identical(const std::vector<trace::Trace>& traces,
+                                    const Config& cfg,
+                                    const std::string& label) {
+  const MultiProgramResult cal = run_mp(traces, cfg, LoopMode::kEventSkip);
+  MultiProgramResult eager = run_mp(traces, cfg, LoopMode::kCycleAccurate);
   EXPECT_EQ(diff_results(cal, eager), "") << label << ": calendar vs eager";
+  EXPECT_EQ(cal.obs == nullptr, eager.obs == nullptr) << label;
+  if (cal.obs != nullptr && eager.obs != nullptr) {
+    EXPECT_TRUE(cal.obs->series() == eager.obs->series())
+        << label << "\ncalendar:\n"
+        << cal.obs->series().to_csv() << "eager:\n"
+        << eager.obs->series().to_csv();
+  }
+  return eager;
 }
 
 TEST(WakeCalendarDifferential, FgnvmMatrix) {
   for (const std::size_t cores : {1u, 4u, 64u}) {
     const auto traces = mixed_traces(cores, cores > 8 ? 120 : 400);
-    expect_tri_identical(traces, sys::fgnvm_config(4, 4),
-                         "fgnvm x " + std::to_string(cores));
+    expect_identical(traces, sys::fgnvm_config(4, 4),
+                     "fgnvm x " + std::to_string(cores));
   }
 }
 
 TEST(WakeCalendarDifferential, DramMatrix) {
   for (const std::size_t cores : {1u, 4u, 64u}) {
     const auto traces = mixed_traces(cores, cores > 8 ? 120 : 400);
-    expect_tri_identical(traces, sys::dram_config(),
-                         "dram x " + std::to_string(cores));
+    expect_identical(traces, sys::dram_config(),
+                     "dram x " + std::to_string(cores));
   }
 }
 
 TEST(WakeCalendarDifferential, HybridMatrix) {
   for (const std::size_t cores : {1u, 4u, 64u}) {
     const auto traces = mixed_traces(cores, cores > 8 ? 120 : 400);
-    expect_tri_identical(traces, sys::hybrid_config(4, 4),
-                         "hybrid x " + std::to_string(cores));
+    expect_identical(traces, sys::hybrid_config(4, 4),
+                     "hybrid x " + std::to_string(cores));
   }
 }
 
-// The very large core counts run calendar-vs-scan in skip mode only: the
-// cycle-accurate reference at 1024 cores would dominate suite wall time
-// without adding coverage beyond the 64-core matrix above.
+// 256 cores are checked against the cycle-accurate reference; 1024 cores
+// run skip-only, because the reference there would dominate suite wall
+// time without adding coverage beyond the 256-core comparison.
 TEST(WakeCalendarDifferential, ManyCoreSkipIdentity) {
   // Four channels keep aggregate demand below the service rate (the same
   // operating point as the perf_smoke many-core scenario) so the test runs
@@ -273,18 +267,35 @@ TEST(WakeCalendarDifferential, ManyCoreSkipIdentity) {
   sys::SystemConfig cfg = sys::fgnvm_config(4, 4);
   cfg.geometry.channels = 4;
   cfg.geometry.validate();
-  cfg.run_threads = 1;
-  for (const std::size_t cores : {256u, 1024u}) {
-    const auto traces =
-        mixed_traces(cores, 48, /*mpki=*/25.6 / static_cast<double>(cores));
-    const MultiProgramResult cal =
-        run_mp(traces, cfg, LoopMode::kEventSkip, true);
-    const MultiProgramResult scan =
-        run_mp(traces, cfg, LoopMode::kEventSkip, false);
-    EXPECT_EQ(diff_results(cal, scan), "")
-        << cores << " cores: calendar vs scan";
-    ASSERT_EQ(cal.ipc.size(), cores);
+  const auto low_intensity = [](std::size_t cores) {
+    return mixed_traces(cores, 48, /*mpki=*/25.6 / static_cast<double>(cores));
+  };
+  expect_identical(low_intensity(256), cfg, "fgnvm ch4 x 256");
+
+  const MultiProgramResult smoke =
+      run_mp(low_intensity(1024), cfg, LoopMode::kEventSkip);
+  ASSERT_EQ(smoke.ipc.size(), 1024u);
+  for (std::size_t i = 0; i < smoke.ipc.size(); ++i) {
+    EXPECT_GT(smoke.ipc[i], 0.0) << "tenant " << i;
   }
+}
+
+// With an observer attached the loop wakes every unfinished core each
+// iteration and never skips past an epoch sample, so the time series must
+// match the cycle-accurate run sample for sample.
+TEST(WakeCalendarDifferential, ObserverModeMatchesCycleAccurate) {
+  const obs::ObsConfig obs{.enabled = true, .epoch = 256};
+  const auto traces = mixed_traces(4, 400);
+  sys::SystemConfig fgnvm = sys::fgnvm_config(4, 4);
+  fgnvm.obs = obs;
+  const MultiProgramResult f = expect_identical(traces, fgnvm, "fgnvm 4x4");
+  ASSERT_NE(f.obs, nullptr);
+  EXPECT_GT(f.obs->series().samples().size(), 8u);
+  sys::HybridSystemConfig hybrid = sys::hybrid_config(4, 4);
+  hybrid.nvm.obs = obs;
+  const MultiProgramResult h = expect_identical(traces, hybrid, "hybrid 4x4");
+  ASSERT_NE(h.obs, nullptr);
+  EXPECT_GT(h.obs->series().samples().size(), 8u);
 }
 
 // Streamed sources and materialized cursors must drive the multiprogrammed
