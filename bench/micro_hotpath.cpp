@@ -3,7 +3,6 @@
 // end-to-end simulation throughput figure (simulated memory ops per second).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <ctime>
 #include <thread>
 #include <vector>
@@ -226,27 +225,6 @@ void BM_MultiChannelAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MultiChannelAdvance)->Unit(benchmark::kMicrosecond);
-
-void BM_AdvancePhase(benchmark::State& state) {
-  // Analytic fast-forward (DESIGN.md §12): a write-heavy closed-loop run is
-  // dominated by high-watermark drains, which the phase engine replays in
-  // closed form instead of tick by tick. Arg 0/1 = engine forced off/on via
-  // the FGNVM_PHASE_ENGINE override the controller reads at construction;
-  // the simulated schedule is bit-identical either way, only host time
-  // changes.
-  setenv("FGNVM_PHASE_ENGINE", state.range(0) ? "1" : "0", 1);
-  trace::WorkloadProfile p = trace::spec2006_profile("mcf");
-  p.name = "write_drain";
-  p.write_fraction = 0.8;
-  const trace::Trace tr = trace::generate_trace(p, 4096);
-  const sys::SystemConfig cfg = deep_queue_config(8, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::run_memory_only(tr, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-  unsetenv("FGNVM_PHASE_ENGINE");
-}
-BENCHMARK(BM_AdvancePhase)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // SoA-vs-AoS candidate probing: the pre-index scheduler walked pooled
 // MemRequest objects and probed through the virtual bank interface; the

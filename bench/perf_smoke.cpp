@@ -8,8 +8,8 @@
 //    64-entry read / 128-entry write queues — the regime that stresses the
 //    scheduler's issue-selection and next_event paths;
 //  * write-drain throughput: a write-heavy (80%) mcf variant on the same
-//    deep-queue config — dominated by high-watermark drain windows, the
-//    regime the analytic write-drain phase replays in closed form;
+//    deep-queue config — dominated by high-watermark drain windows, which
+//    stress write selection and the write-queue latch;
 //  * multi-channel throughput: the milc workload on the same 4x4 config
 //    widened to 4 channels — tracks the per-channel due caches and the
 //    windowed channel advance;
@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
 
   // Write-drain throughput: a write-heavy mcf variant on the deep-queue
   // config — the stream crosses the high watermark over and over, so wall
-  // time is dominated by drain windows, the regime the analytic write-drain
-  // phase (DESIGN.md §12) replays in closed form.
+  // time is dominated by drain windows (write selection and the
+  // write-queue latch).
   trace::WorkloadProfile wd_profile = trace::spec2006_profile("mcf");
   wd_profile.name = "write_drain";
   wd_profile.write_fraction = 0.8;

@@ -20,18 +20,6 @@ RobCpu::RobCpu(trace::RecordSource& source, const CpuParams& params,
   if (has_cur_) next_mem_inst_ = cur_.icount_gap;
 }
 
-RobCpu::RobCpu(const trace::Trace& trace, const CpuParams& params,
-               sys::MemorySystem& mem, std::uint64_t hart)
-    : owned_src_(std::make_unique<trace::TraceSource>(trace)),
-      src_(owned_src_.get()),
-      params_(params),
-      mem_(mem),
-      hart_(hart) {
-  total_insts_ = src_->total_instructions();
-  has_cur_ = src_->next(cur_);
-  if (has_cur_) next_mem_inst_ = cur_.icount_gap;
-}
-
 void RobCpu::complete(const std::vector<mem::MemRequest>& done) {
   for (const mem::MemRequest& r : done) {
     if (!r.is_read() || r.cpu_tag != hart_) continue;

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 
 #include "common/types.hpp"
 #include "sys/memory_system.hpp"
@@ -37,11 +36,6 @@ class RobCpu {
   /// several share one memory system: submissions are tagged with it and
   /// complete() ignores other harts' requests.
   RobCpu(trace::RecordSource& source, const CpuParams& params,
-         sys::MemorySystem& mem, std::uint64_t hart = 0);
-
-  /// Convenience over a materialized trace (which must outlive the CPU):
-  /// wraps it in an owned TraceSource cursor.
-  RobCpu(const trace::Trace& trace, const CpuParams& params,
          sys::MemorySystem& mem, std::uint64_t hart = 0);
 
   /// Marks this hart's read requests answered by the memory as complete.
@@ -147,7 +141,6 @@ class RobCpu {
     bool answered = false;  // memory answered; retires when it reaches head
   };
 
-  std::unique_ptr<trace::RecordSource> owned_src_;  // Trace-ctor adapter
   trace::RecordSource* src_;
   CpuParams params_;
   sys::MemorySystem& mem_;

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "common/config.hpp"
@@ -106,19 +105,6 @@ bool paranoid_env();
 [[noreturn]] void throw_divergence(const char* what);
 }  // namespace detail
 
-/// Counters for the memory-side analytic fast-forward (DESIGN.md §12).
-/// Deliberately kept out of the controller's StatSet: phase firing is a
-/// host-performance detail that must not perturb the simulated stats the
-/// eager/skip equivalence suites compare bit-for-bit.
-struct PhaseStats {
-  std::uint64_t retire_phases = 0;  // all-banks-idle-until-arrival entries
-  std::uint64_t retire_events = 0;  // completions retired inside them
-  std::uint64_t drain_phases = 0;   // pure write-drain entries
-  std::uint64_t drain_writes = 0;   // writes issued inside them
-  std::uint64_t burst_phases = 0;   // single-group row-hit read bursts
-  std::uint64_t burst_reads = 0;    // reads issued inside them
-};
-
 /// Type-erased controller facade: everything sys::MemorySystem needs to
 /// drive one channel. Costs one virtual call per operation on a channel
 /// that actually has work — the per-candidate bank probes underneath are
@@ -163,34 +149,13 @@ class ControllerBase {
   /// (see completion_bound and DESIGN.md §9).
   virtual Cycle advance_to(Cycle due, Cycle horizon) = 0;
 
-  /// Walks the event chain from `due` while the channel cannot accept `op`,
-  /// recognizing analytic phases along the way. Returns the cycle at which
-  /// the driver should resume: the cycle after the tick that freed
-  /// capacity, or the first chain cycle >= horizon (kNeverCycle if the
-  /// chain dies). The same serial tick schedule as advance_to — completions
-  /// buffer in completed() and the caller drains them at the resume cycle.
+  /// Walks the event chain from `due` while the channel cannot accept `op`.
+  /// Returns the cycle at which the driver should resume: the cycle after
+  /// the tick that freed capacity, or the first chain cycle >= horizon
+  /// (kNeverCycle if the chain dies). The same serial tick schedule as
+  /// advance_to — completions buffer in completed() and the caller drains
+  /// them at the resume cycle.
   virtual Cycle advance_until_accept(Cycle due, OpType op, Cycle horizon) = 0;
-
-  /// Analytic fast-forward (DESIGN.md §12): if the channel is in a steady
-  /// phase at `now` (a due/wake cycle), replays that phase's event chain in
-  /// closed form up to (excluding) `bound` and returns the next due cycle —
-  /// which, like next_event, may undershoot the next actionable cycle but
-  /// never overshoots it. Returns `now` when no phase applies (caller falls
-  /// back to one eager tick). State and stats after the call are
-  /// bit-identical to eager ticking through the same window.
-  virtual Cycle advance_phase(Cycle now, Cycle bound) = 0;
-
-  /// Host-side phase-engine telemetry (not part of simulated stats).
-  virtual const PhaseStats& phase_stats() const = 0;
-  /// Force the phase engine on/off (overrides the FGNVM_PHASE_ENGINE env
-  /// default). Off, advance_phase always declines.
-  virtual void set_phase_engine(bool on) = 0;
-  /// Temporary phase decline, same contract as the drain-latch rule: while
-  /// held, advance_phase returns `now` so every window is walked tick by
-  /// tick. sys::HybridMemorySystem holds its channels while a row migration
-  /// is in flight — the migration engine injects requests at loop-iteration
-  /// cycles, and a closed-form replay must not run past one.
-  virtual void set_phase_hold(bool held) = 0;
 
   /// Lower bound on the first cycle > now at which this channel could hand
   /// a completion to the caller: now+1 with completions already pending,
@@ -245,10 +210,6 @@ class ControllerT final : public ControllerBase {
   Cycle next_event(Cycle now) const override;
   Cycle advance_to(Cycle due, Cycle horizon) override;
   Cycle advance_until_accept(Cycle due, OpType op, Cycle horizon) override;
-  Cycle advance_phase(Cycle now, Cycle bound) override;
-  const PhaseStats& phase_stats() const override { return phase_stats_; }
-  void set_phase_engine(bool on) override { phase_enabled_ = on; }
-  void set_phase_hold(bool held) override { phase_hold_ = held; }
   Cycle completion_bound(Cycle now) const override;
   bool idle() const override;
 
@@ -333,16 +294,6 @@ class ControllerT final : public ControllerBase {
 
   BankT& bank_of(const mem::DecodedAddr& a);
   const BankT& bank_of(const mem::DecodedAddr& a) const;
-  /// Concrete bank types read only row/sag/cd/cd_count in their timing
-  /// probes (verified for FgNvmBank and DramBank), so the indexed hot scans
-  /// synthesize that key image from the SoA index instead of loading the
-  /// pooled 100+-byte MemRequest. The fully virtual nvm::Bank configuration
-  /// keeps the pooled address — test doubles may inspect any field.
-  static constexpr bool kLeanProbes = !std::is_same_v<BankT, nvm::Bank>;
-  const mem::DecodedAddr& read_probe_addr(std::int32_t slot,
-                                          mem::DecodedAddr& tmp) const;
-  const mem::DecodedAddr& write_probe_addr(std::int32_t slot,
-                                           mem::DecodedAddr& tmp) const;
   std::uint64_t bank_linear(const mem::DecodedAddr& a) const {
     return a.rank * geo_.banks_per_rank + a.bank;
   }
@@ -369,20 +320,11 @@ class ControllerT final : public ControllerBase {
   bool try_issue_read_activate(Cycle now);
   bool try_issue_write(Cycle now, bool background_only);
 
-  // ---- shared issue-commit sequences: the exact state/stat mutations of
-  // the try_issue_* paths, factored out so the analytic phase replays are
-  // the same code the eager tick runs (bit-identity by construction) ------
+  // ---- issue-commit sequences: the state/stat mutations of the
+  // try_issue_* paths once a pick is made, and the tick's retirement ------
   void commit_read_column(std::int32_t slot, Cycle now);
   void commit_write_column(std::int32_t slot, Cycle now, bool background_only);
   void retire_reads(Cycle now);
-
-  // ---- analytic phase recognizers (DESIGN.md §12). Each returns the new
-  // due cycle (> now) after replaying its phase's events in [now, bound),
-  // or `now` when its preconditions do not hold at `now`. --------------
-  Cycle phase_retire_only(Cycle now, Cycle bound);
-  Cycle phase_write_drain(Cycle now, Cycle bound, const OpType* stop_accept);
-  Cycle phase_read_burst(Cycle now, Cycle bound, const OpType* stop_accept);
-  Cycle advance_phase_impl(Cycle now, Cycle bound, const OpType* stop_accept);
 
   // ---- indexed issue selection (side-effect free; commit happens in the
   // try_issue_* wrappers after the optional oracle comparison) ------------
@@ -469,9 +411,6 @@ class ControllerT final : public ControllerBase {
   mutable bool global_valid_ = false;
 
   bool cross_check_ = false;
-  bool phase_enabled_ = true;  // FGNVM_PHASE_ENGINE env default, see ctor
-  bool phase_hold_ = false;    // see ControllerBase::set_phase_hold
-  PhaseStats phase_stats_;
 
   // Scratch vectors for the selection paths (members so the hot paths stay
   // allocation-free after warm-up).

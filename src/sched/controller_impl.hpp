@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
+#include <type_traits>
 
 #include "sched/controller.hpp"
 
@@ -87,12 +87,6 @@ ControllerT<BankT>::ControllerT(const mem::MemGeometry& geometry,
   scratch_cands_.reserve(cfg_.read_queue_cap + cfg_.write_queue_cap);
 
   cross_check_ = detail::paranoid_env();
-
-  // Analytic phase engine (DESIGN.md §12): on by default, FGNVM_PHASE_ENGINE=0
-  // forces eager event-chain ticking (CI covers both settings).
-  if (const char* e = std::getenv("FGNVM_PHASE_ENGINE")) {
-    phase_enabled_ = !(e[0] == '0' && e[1] == '\0');
-  }
 }
 
 template <typename BankT>
@@ -108,34 +102,6 @@ BankT& ControllerT<BankT>::bank_of(const mem::DecodedAddr& a) {
 template <typename BankT>
 const BankT& ControllerT<BankT>::bank_of(const mem::DecodedAddr& a) const {
   return *typed_[a.rank * geo_.banks_per_rank + a.bank];
-}
-
-template <typename BankT>
-const mem::DecodedAddr& ControllerT<BankT>::read_probe_addr(
-    std::int32_t slot, mem::DecodedAddr& tmp) const {
-  if constexpr (kLeanProbes) {
-    tmp.row = ridx_.row_of(slot);
-    tmp.sag = ridx_.sag(slot);
-    tmp.cd = ridx_.cd(slot);
-    tmp.cd_count = ridx_.cd_count_of(slot);
-    return tmp;
-  } else {
-    return rpool_[static_cast<std::size_t>(slot)].req.addr;
-  }
-}
-
-template <typename BankT>
-const mem::DecodedAddr& ControllerT<BankT>::write_probe_addr(
-    std::int32_t slot, mem::DecodedAddr& tmp) const {
-  if constexpr (kLeanProbes) {
-    tmp.row = widx_.row_of(slot);
-    tmp.sag = widx_.sag(slot);
-    tmp.cd = widx_.cd(slot);
-    tmp.cd_count = widx_.cd_count_of(slot);
-    return tmp;
-  } else {
-    return writes_.at(slot).addr;
-  }
 }
 
 template <typename BankT>
@@ -985,17 +951,7 @@ Cycle ControllerT<BankT>::advance_to(Cycle due, Cycle horizon) {
   // delivered by the caller at the horizon (in channel order). Ticks the
   // serial schedule would run at completion-delivery cycles inside the
   // window are no-op ticks by the next_event contract and are skipped.
-  //
-  // Steady phases are replayed analytically (DESIGN.md §12): advance_phase
-  // runs the same commit/retire code the eager tick would, then hands back
-  // the next due cycle, so the fallback below sees a state bit-identical to
-  // having ticked through the window.
   while (due < horizon) {
-    const Cycle fast = advance_phase_impl(due, horizon, nullptr);
-    if (fast > due) {
-      due = fast;
-      continue;
-    }
     tick(due);
     due = next_event_internal(due);
   }
@@ -1009,247 +965,11 @@ Cycle ControllerT<BankT>::advance_until_accept(Cycle due, OpType op,
   // for `op` freed up": the driver submits at (freeing tick) + 1, exactly
   // where the serial schedule would re-test can_accept before ticking.
   while (due < horizon && !can_accept(op)) {
-    const Cycle fast = advance_phase_impl(due, horizon, &op);
-    if (fast > due) {
-      due = fast;
-      continue;
-    }
     tick(due);
     if (can_accept(op)) return due + 1;
     due = next_event_internal(due);
   }
   return due;
-}
-
-// ---------------------------------------------------------------------------
-// Analytic phase engine (DESIGN.md §12). Each recognizer replays its phase's
-// event chain with the shared commit/retire sequences — the exact mutations
-// eager ticking performs — so state and stats stay bit-identical; the only
-// thing skipped is the per-event tick/selection/next_event machinery that
-// provably does nothing else in the phase. Contract: return `now` to
-// decline, else a cycle > now that never overshoots the next actionable
-// cycle (undershooting is safe: an early wake is a no-op tick).
-// ---------------------------------------------------------------------------
-
-template <typename BankT>
-Cycle ControllerT<BankT>::advance_phase_impl(Cycle now, Cycle bound,
-                                             const OpType* stop_accept) {
-  if (!phase_enabled_ || phase_hold_ || obs_ != nullptr || now >= bound) {
-    return now;
-  }
-  // A pending drain-latch flip must be applied by a real tick at now/t0.
-  if (writes_.drain_update_pending()) return now;
-  if (ridx_.empty() && widx_.empty()) {
-    if (inflight_reads_.empty()) return now;  // fully idle — nothing to do
-    return phase_retire_only(now, bound);
-  }
-  // The remaining phases reason about bank timing in closed form, which is
-  // only sound when candidates clamp (pure_timing) — no refresh windows.
-  if (!all_pure_) return now;
-  if (ridx_.empty() && inflight_reads_.empty() && writes_.draining()) {
-    return phase_write_drain(now, bound, stop_accept);
-  }
-  if (!ridx_.empty() && !writes_.draining()) {
-    return phase_read_burst(now, bound, stop_accept);
-  }
-  return now;
-}
-
-// All-banks-idle-until-arrival: both queues empty, bursts in flight. The
-// only events left are retirements; replay them and report the next one.
-template <typename BankT>
-Cycle ControllerT<BankT>::phase_retire_only(Cycle now, Cycle bound) {
-  const std::size_t before = inflight_reads_.size();
-  Cycle t = now;
-  Cycle ret;
-  for (;;) {
-    Cycle min_done = kNeverCycle;
-    for (const InFlight& fl : inflight_reads_) {
-      min_done = std::min(min_done, fl.done);
-    }
-    if (min_done == kNeverCycle) {
-      ret = kNeverCycle;  // chain dies: nothing queued, nothing in flight
-      break;
-    }
-    const Cycle wake = std::max(min_done, t);
-    if (wake >= bound) {
-      ret = wake;
-      break;
-    }
-    retire_reads(wake);
-    t = wake + 1;
-  }
-  const std::size_t retired = before - inflight_reads_.size();
-  if (retired > 0) {
-    ++phase_stats_.retire_phases;
-    phase_stats_.retire_events += retired;
-  }
-  return ret > now ? ret : now;
-}
-
-// Pure write-queue drain: watermark latch held, no reads queued or in
-// flight, every queued write in one dense (bank, SAG) group on the open row
-// and none bus-flagged. The only events are write column issues; per wake
-// the arrival-order winner is the min-seq member among those whose column
-// timing has come due (pure timing ⇒ candidates computed at the current
-// position clamp identically at the wake cycle).
-template <typename BankT>
-Cycle ControllerT<BankT>::phase_write_drain(Cycle now, Cycle bound,
-                                            const OpType* stop_accept) {
-  if (widx_.empty() || widx_.flagged_count() != 0) return now;
-  const std::int32_t head0 = widx_.queue_head();
-  const mem::DecodedAddr& ha = writes_.at(head0).addr;
-  const std::uint64_t b = bank_linear(ha);
-  const std::uint64_t g = b * geo_.num_sags + ha.sag;
-  if (widx_.group_count(g) != widx_.size()) return now;
-  BankT& bank = *typed_[b];
-  const std::uint64_t row = bank.open_row_of(ha.sag);
-  if (row == kInvalidAddr || widx_.row_count(b, row) != widx_.size()) {
-    return now;  // an off-row member would be an ACT candidate
-  }
-
-  std::uint64_t steps = 0;
-  Cycle t = now;
-  Cycle ret;
-  mem::DecodedAddr tmp{};
-  for (;;) {
-    // Wake = min column candidate; winner = min-seq among those achieving
-    // it (with pure timing, e(t) = max(t, e(0)), so the members ready at
-    // the wake are exactly those whose e equals the minimum).
-    Cycle best_e = kNeverCycle;
-    std::int32_t winner = -1;
-    std::uint64_t wseq = ~0ULL;
-    for (std::int32_t s = widx_.row_head(b, row); s >= 0;
-         s = widx_.row_next(s)) {
-      const Cycle e =
-          bank.earliest_column(write_probe_addr(s, tmp), OpType::kWrite, t);
-      if (e < best_e || (e == best_e && widx_.seq(s) < wseq)) {
-        best_e = e;
-        winner = s;
-        wseq = widx_.seq(s);
-      }
-    }
-    const Cycle wake = best_e;
-    if (wake >= bound) {
-      ret = wake;  // the next chain cycle — beyond this window
-      break;
-    }
-    if (!bus_.available(wake + timing_.tCWD)) {
-      ret = wake;  // eager tick at wake sets the sticky flags
-      break;
-    }
-    commit_write_column(winner, wake, /*background_only=*/false);
-    ++steps;
-    // Ends that require a real tick or the driver: the latch flip below the
-    // low watermark, freed capacity the blocked driver waits on, or an empty
-    // queue. wake+1 never overshoots: it is at most the next chain cycle.
-    if (writes_.drain_update_pending() || widx_.empty() ||
-        (stop_accept != nullptr && can_accept(*stop_accept))) {
-      ret = wake + 1;
-      break;
-    }
-    t = wake + 1;  // the write_done latch allows one write per tick
-  }
-  if (steps > 0) {
-    ++phase_stats_.drain_phases;
-    phase_stats_.drain_writes += steps;
-  }
-  return ret > now ? ret : now;
-}
-
-// Single-group row-hit read burst: every queued read sensed in one dense
-// (bank, SAG) group on the open row, none bus-flagged, and the write side
-// contributes no candidates (not draining; background path below its
-// occupancy floor or disabled). Events are read column issues and
-// retirements; each wake replays them in tick order (retire, then issue).
-template <typename BankT>
-Cycle ControllerT<BankT>::phase_read_burst(Cycle now, Cycle bound,
-                                           const OpType* stop_accept) {
-  if (ridx_.flagged_count() != 0) return now;
-  if (!widx_.empty() && cfg_.policy == SchedulerPolicy::kFrfcfsAugmented &&
-      writes_.size() >= cfg_.bg_write_min) {
-    return now;  // backgrounded writes are (or may become) eligible
-  }
-  const std::int32_t head0 = ridx_.queue_head();
-  const mem::DecodedAddr& ha = rpool_[static_cast<std::size_t>(head0)].req.addr;
-  const std::uint64_t b = bank_linear(ha);
-  const std::uint64_t g = b * geo_.num_sags + ha.sag;
-  if (ridx_.group_count(g) != ridx_.size()) return now;
-  BankT& bank = *typed_[b];
-  const std::uint64_t row = bank.open_row_of(ha.sag);
-  if (row == kInvalidAddr || ridx_.row_count(b, row) != ridx_.size()) {
-    return now;
-  }
-  mem::DecodedAddr tmp{};
-  // Partial activation can leave an open-row member unsensed (an underfetch
-  // re-sense — an ACT candidate); require the whole group sensed so column
-  // issues are the only command events in the phase.
-  for (std::int32_t s = ridx_.row_head(b, row); s >= 0; s = ridx_.row_next(s)) {
-    if (!bank.segments_sensed(read_probe_addr(s, tmp))) return now;
-  }
-
-  const bool fcfs = cfg_.policy == SchedulerPolicy::kFcfs;
-  std::uint64_t steps = 0;
-  Cycle t = now;
-  Cycle ret;
-  for (;;) {
-    Cycle min_done = kNeverCycle;
-    for (const InFlight& fl : inflight_reads_) {
-      min_done = std::min(min_done, fl.done);
-    }
-    // Column candidate: FCFS serves strictly in order (the queue head is
-    // the only candidate); otherwise the min-seq member among those due.
-    Cycle best_e = kNeverCycle;
-    std::int32_t winner = -1;
-    std::uint64_t wseq = ~0ULL;
-    if (fcfs) {
-      winner = ridx_.queue_head();
-      best_e = bank.earliest_column(read_probe_addr(winner, tmp),
-                                    OpType::kRead, t);
-    } else {
-      for (std::int32_t s = ridx_.row_head(b, row); s >= 0;
-           s = ridx_.row_next(s)) {
-        const Cycle e =
-            bank.earliest_column(read_probe_addr(s, tmp), OpType::kRead, t);
-        if (e < best_e || (e == best_e && ridx_.seq(s) < wseq)) {
-          best_e = e;
-          winner = s;
-          wseq = ridx_.seq(s);
-        }
-      }
-    }
-    const Cycle wake = std::min(best_e, std::max(min_done, t));
-    if (wake >= bound) {
-      ret = wake;
-      break;
-    }
-    if (min_done <= wake) retire_reads(wake);  // tick order: retire first
-    if (best_e <= wake) {
-      if (!bus_.available(wake + timing_.tCAS)) {
-        ret = wake;  // eager tick at wake sets the sticky flags
-        break;
-      }
-      commit_read_column(winner, wake);
-      ++steps;
-      if (ridx_.empty() ||
-          (stop_accept != nullptr && can_accept(*stop_accept))) {
-        ret = wake + 1;
-        break;
-      }
-    }
-    t = wake + 1;
-  }
-  if (steps > 0) {
-    ++phase_stats_.burst_phases;
-    phase_stats_.burst_reads += steps;
-  }
-  return ret > now ? ret : now;
-}
-
-template <typename BankT>
-Cycle ControllerT<BankT>::advance_phase(Cycle now, Cycle bound) {
-  const Cycle fast = advance_phase_impl(now, bound, nullptr);
-  return fast > now ? fast : now;
 }
 
 template <typename BankT>

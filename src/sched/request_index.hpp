@@ -110,14 +110,10 @@ class RequestIndex {
     row_mask_ = buckets - 1;
     qhead_ = qtail_ = -1;
     size_ = 0;
-    flagged_count_ = 0;
   }
 
   bool empty() const { return size_ == 0; }
   std::uint64_t size() const { return size_; }
-  /// Number of queued members with the sticky bus_blocked flag set — the
-  /// phase engine's O(1) "no flagged candidates" precondition.
-  std::uint64_t flagged_count() const { return flagged_count_; }
 
   void insert(std::int32_t slot, std::uint64_t bank, const mem::DecodedAddr& a,
               std::uint64_t seq, bool flagged = false) {
@@ -132,7 +128,6 @@ class RequestIndex {
     for (std::uint64_t c = 0; c < a.cd_count; ++c) cds |= 1ULL << (a.cd + c);
     cds_[i] = cds;
     flag_[i] = flagged ? 1 : 0;
-    flagged_count_ += flagged ? 1 : 0;
 
     qprev_[i] = qtail_;
     qnext_[i] = -1;
@@ -242,7 +237,6 @@ class RequestIndex {
       if (--cd_count_[k] == 0) cd_mask_[bank] &= ~(1ULL << (cd0 + c));
     }
     qprev_[i] = qnext_[i] = gprev_[i] = gnext_[i] = rprev_[i] = rnext_[i] = -1;
-    flagged_count_ -= flag_[i] != 0 ? 1 : 0;
     flag_[i] = 0;
   }
 
@@ -276,10 +270,7 @@ class RequestIndex {
   }
   /// Mirrors MemRequest::bus_blocked for the hot scans.
   void set_flag(std::int32_t slot, bool on) {
-    const std::uint8_t v = on ? 1 : 0;
-    std::uint8_t& f = flag_[static_cast<std::size_t>(slot)];
-    flagged_count_ += static_cast<std::uint64_t>(v) - f;
-    f = v;
+    flag_[static_cast<std::size_t>(slot)] = on ? 1 : 0;
   }
 
   // ---- global FIFO ------------------------------------------------------
@@ -468,7 +459,6 @@ class RequestIndex {
   std::vector<std::uint64_t> cd_mask_;   // per bank
   std::int32_t qhead_ = -1, qtail_ = -1;
   std::uint64_t size_ = 0;
-  std::uint64_t flagged_count_ = 0;
 };
 
 }  // namespace fgnvm::sched

@@ -561,11 +561,10 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
         // Windowed advance: the next record is blocked on its target
         // channel, whose can_accept answer can only change at that channel's
         // own tick cycles. Run the target channel along its event chain
-        // (with analytic phase fast-forwarding) until capacity frees, then
-        // bring every other channel up to the same resume cycle — while
-        // blocked no channel receives submissions, so the chains are
-        // independent and the result matches the serial per-event schedule
-        // bit for bit. After trace exhaustion, stick to the event path so
+        // until capacity frees, then bring every other channel up to the
+        // same resume cycle — while blocked no channel receives submissions,
+        // so the chains are independent and the result matches the serial
+        // per-event schedule bit for bit. After trace exhaustion, stick to the event path so
         // the final drain-out cycle (and hence mem_cycles) matches the
         // per-event schedule.
         if (windows && pending) {

@@ -276,10 +276,6 @@ void HybridMemorySystem::maybe_decay(Cycle now) {
 // Migration engine
 // ---------------------------------------------------------------------------
 
-void HybridMemorySystem::set_holds(bool held) {
-  for (auto& ch : channels_) ch->set_phase_hold(held);
-}
-
 void HybridMemorySystem::start_migration(std::uint64_t key, Cycle now) {
   ++triggers_;
   mig_ = Migration{};
@@ -298,10 +294,6 @@ void HybridMemorySystem::start_migration(std::uint64_t key, Cycle now) {
     mig_.demote_key = slot_row_[victim];
     mig_.phase = Phase::kDemoteRead;
   }
-  // Hold the analytic phase engines for the duration: the engine injects
-  // requests at loop-iteration cycles, and a closed-form replay must not
-  // run past one (the drain-latch contract).
-  set_holds(true);
   mig_wake_ = now;  // first engine_step runs inside this cycle's tick
 }
 
@@ -364,7 +356,6 @@ void HybridMemorySystem::engine_step(Cycle now) {
       rbl_[mig_.promote_key] = 0;
       ++migrations_;
       mig_ = Migration{};
-      set_holds(false);
       mig_wake_ = kNeverCycle;
       return;
     }

@@ -13,10 +13,9 @@
 //
 // Migration traffic is modeled as real read+write requests injected through
 // the existing controllers, so timing, the write queue, forwarding and the
-// fast-forward engines stay honest. One migration is in flight at a time
-// and the analytic phase engine is held (ControllerBase::set_phase_hold)
-// while it runs — the same contract as the drain-latch rule: any cycle at
-// which the engine injects a request must be walked by a real tick.
+// event-skipping loops stay honest. One migration is in flight at a time,
+// and mig_wake_ bounds every skip window while it runs: any cycle at which
+// the engine injects a request is a loop iteration in every mode.
 //
 // Determinism: every engine decision keys off submit cycles, completion
 // arrival cycles and the per-channel due caches — never off "tick was
@@ -172,7 +171,6 @@ class HybridMemorySystem final : public MemorySystem {
   /// phase transitions, and recomputes mig_wake_.
   void engine_step(Cycle now);
   void pump(Cycle now);
-  void set_holds(bool held);
   Cycle channel_wake(std::uint64_t ch, Cycle now) const;
 
   HybridSystemConfig hcfg_;

@@ -130,12 +130,12 @@ class MemorySystem {
   /// (see completion_bound / accept_event). Requires lazy_scheduling().
   void advance_channels_to(Cycle horizon);
 
-  /// Runs the channel `addr` maps to along its event chain (with analytic
-  /// phase fast-forwarding — Controller::advance_until_accept) until it can
-  /// accept `op` or its chain reaches `limit`. Returns the cycle at which
-  /// the driver should resume (submit/drain): the cycle after the
-  /// capacity-freeing tick, or the first chain cycle >= limit (kNeverCycle
-  /// if the chain dies). Other channels are NOT advanced — follow up with
+  /// Runs the channel `addr` maps to along its event chain
+  /// (Controller::advance_until_accept) until it can accept `op` or its
+  /// chain reaches `limit`. Returns the cycle at which the driver should
+  /// resume (submit/drain): the cycle after the capacity-freeing tick, or
+  /// the first chain cycle >= limit (kNeverCycle if the chain dies). Other
+  /// channels are NOT advanced — follow up with
   /// advance_channels_to(min(resume, limit)) before resuming the loop.
   /// Requires lazy_scheduling().
   virtual Cycle advance_until_accept(Addr addr, OpType op, Cycle limit);

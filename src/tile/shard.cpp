@@ -133,11 +133,11 @@ void Shard::handle_submit(const TileCmd& cmd) {
     ++metrics_.advance_calls;
   }
 
-  // Backpressure: walk the chain (with analytic phase fast-forwarding)
-  // until the channel frees capacity. advance_until_accept returns the
-  // cycle after the capacity-freeing tick; a blocked channel always has
-  // in-flight work, so a dead chain (kNeverCycle) here means a wedged
-  // controller, and reaching max_cycles_ means the run overflowed.
+  // Backpressure: walk the chain until the channel frees capacity.
+  // advance_until_accept returns the cycle after the capacity-freeing tick;
+  // a blocked channel always has in-flight work, so a dead chain
+  // (kNeverCycle) here means a wedged controller, and reaching max_cycles_
+  // means the run overflowed.
   if (!c.ctrl->can_accept(cmd.op)) {
     const Cycle resume = c.ctrl->advance_until_accept(c.due, cmd.op,
                                                       max_cycles_);

@@ -4,11 +4,11 @@
 // A shard's channels are plain sched::ControllerT instances — the same
 // construction sys::MemorySystem performs (sys::make_channel_controller) —
 // advanced exclusively through the event-chain API (advance_to /
-// advance_until_accept, which chain the §12 analytic phases), never ticked
-// cycle by cycle. All shard state sits behind 64-byte alignment so two
-// shards never share a cache line; the only cross-thread traffic is the
-// inbound command ring (coordinator -> shard) and the outbound event ring
-// (shard -> coordinator), both lock-free SPSC rings.
+// advance_until_accept), never ticked cycle by cycle. All shard state sits
+// behind 64-byte alignment so two shards never share a cache line; the only
+// cross-thread traffic is the inbound command ring (coordinator -> shard)
+// and the outbound event ring (shard -> coordinator), both lock-free SPSC
+// rings.
 //
 // Per-channel clock semantics: every channel advances independently. A
 // request routed to channel c enters its queue at

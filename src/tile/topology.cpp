@@ -5,11 +5,6 @@
 
 #include "common/sweep.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace fgnvm::tile {
 
 Topology::Topology(const sys::SystemConfig& cfg, const TopologyConfig& tcfg)
@@ -84,19 +79,6 @@ void Topology::start() {
 }
 
 void Topology::worker_body(std::size_t i) {
-#ifdef __linux__
-  if (tcfg_.pin_threads) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<int>(i % hw), &set);
-      // Best effort: an EINVAL/EPERM here only loses locality, not
-      // correctness.
-      (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-    }
-  }
-#endif
   try {
     shards_[i]->run();
     return;

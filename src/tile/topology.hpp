@@ -43,9 +43,6 @@ struct TopologyConfig {
   bool worker_threads = true;
   /// Slots per ring (power of two >= 2); one ingress + one egress per shard.
   std::size_t ring_capacity = 1024;
-  /// Best-effort CPU pinning of shard workers (Linux only; ignored
-  /// elsewhere). Off by default: single-core hosts must time-share.
-  bool pin_threads = false;
   /// Deadlock guard, as in the sim runners.
   Cycle max_cycles = 500'000'000;
 };

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -46,11 +45,6 @@ void store_u64(unsigned char* p, std::uint64_t v) {
   throw std::runtime_error("StreamReader(" + path + "): " + what);
 }
 
-bool env_forces_buffered() {
-  const char* v = std::getenv("FGNVM_STREAM_NO_MMAP");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 }  // namespace
 
 StreamReader::StreamReader(const std::string& path, StreamReaderOptions opts)
@@ -69,7 +63,7 @@ StreamReader::StreamReader(const std::string& path, StreamReaderOptions opts)
   window_bytes_ = std::max(opts.window_bytes, kMinWindow);
   // Round to whole pages so a window always starts page-aligned.
   window_bytes_ = (window_bytes_ + page_ - 1) / page_ * page_;
-  use_mmap_ = !opts.force_buffered && !env_forces_buffered();
+  use_mmap_ = !opts.force_buffered;
   try {
     parse_header();
   } catch (...) {

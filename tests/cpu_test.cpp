@@ -3,6 +3,7 @@
 
 #include "cpu/rob_cpu.hpp"
 #include "sys/presets.hpp"
+#include "trace/stream.hpp"
 #include "trace/trace.hpp"
 
 namespace fgnvm::cpu {
@@ -21,7 +22,7 @@ trace::Trace plain_trace(std::uint64_t records, std::uint64_t gap) {
 
 struct Harness {
   explicit Harness(const trace::Trace& tr, CpuParams params = {})
-      : mem(sys::fgnvm_config(4, 4)), cpu(tr, params, mem) {}
+      : src(tr), mem(sys::fgnvm_config(4, 4)), cpu(src, params, mem) {}
 
   void run(Cycle max_mem_cycles = 2'000'000) {
     for (Cycle t = 0; t < max_mem_cycles; ++t) {
@@ -33,6 +34,7 @@ struct Harness {
     FAIL() << "did not finish";
   }
 
+  trace::TraceSource src;
   sys::MemorySystem mem;
   RobCpu cpu;
 };
@@ -41,7 +43,8 @@ TEST(RobCpu, EmptyTraceFinishesImmediately) {
   trace::Trace t;
   t.name = "empty";
   sys::MemorySystem mem(sys::fgnvm_config(4, 4));
-  RobCpu cpu(t, {}, mem);
+  trace::TraceSource src(t);
+  RobCpu cpu(src, {}, mem);
   EXPECT_TRUE(cpu.finished());
   EXPECT_EQ(cpu.total_instructions(), 0u);
 }
@@ -83,7 +86,8 @@ TEST(RobCpu, LowerMemoryLatencyRaisesIpc) {
   slow.run();
   // Same trace against a much faster (many-bank) memory.
   sys::MemorySystem fast_mem(sys::many_banks_config(8, 2));
-  RobCpu fast_cpu(tr, {}, fast_mem);
+  trace::TraceSource fast_src(tr);
+  RobCpu fast_cpu(fast_src, {}, fast_mem);
   for (Cycle t = 0;; ++t) {
     ASSERT_LT(t, 2'000'000u);
     fast_cpu.complete(fast_mem.take_completed());

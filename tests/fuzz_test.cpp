@@ -6,11 +6,13 @@
 //    constraints).
 // 2. System fuzz: random workloads x random configurations through the full
 //    runner, checking conservation and termination.
-// 3. Phase-boundary fuzz: the analytic fast-forward (DESIGN.md §12) replayed
-//    against an eager-ticking twin across randomized event windows — every
-//    stat must agree at every window boundary, wherever it falls.
+// 3. Chain-boundary fuzz: the controller's event-chain walks (advance_to,
+//    advance_until_accept) driven through randomized windows against an
+//    eager-ticking twin — every stat must agree at every window boundary,
+//    wherever it falls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -195,18 +197,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Phase-boundary fuzz. The chain-driven twin in sched_index_test always
-// hands advance_phase "natural" bounds (the next arrival); here the window
-// boundary is RANDOM, so phases are truncated at arbitrary cycles — mid
-// drain, mid burst, one cycle in. The contract is the same everywhere:
-// advance_phase replays exactly the events below the bound and returns a
-// due cycle that never overshoots the next actionable one, so a controller
-// driven through random windows must match an eager twin that ticks every
-// single cycle, on every stat, at every window boundary.
+// Chain-boundary fuzz. The chain twin in sched_index_test always hands the
+// walks "natural" horizons (the next arrival); here every horizon is
+// RANDOM, so chains are cut at arbitrary cycles — mid drain, mid burst, one
+// cycle in — and a blocked driver's advance_until_accept may hit its limit
+// before capacity frees. The contract is the same everywhere: a walk ticks
+// exactly the chain cycles below the horizon and returns a due cycle that
+// never overshoots the next actionable one, so a controller driven through
+// random windows must match an eager twin that ticks every single cycle, on
+// every stat, at every window boundary.
 
-class PhaseBoundaryFuzz : public ::testing::TestWithParam<SystemFuzzCase> {};
+class ChainBoundaryFuzz : public ::testing::TestWithParam<SystemFuzzCase> {};
 
-TEST_P(PhaseBoundaryFuzz, RandomWindowsMatchEagerTwin) {
+TEST_P(ChainBoundaryFuzz, RandomWindowsMatchEagerTwin) {
   Rng rng(GetParam().seed);
 
   mem::MemGeometry geo = fuzz_geometry(1ULL << rng.next_below(4),
@@ -235,8 +238,6 @@ TEST_P(PhaseBoundaryFuzz, RandomWindowsMatchEagerTwin) {
   };
   sched::ControllerT<nvm::FgNvmBank> fast(geo, timing, cfg, make);
   sched::ControllerT<nvm::FgNvmBank> eager(geo, timing, cfg, make);
-  fast.set_phase_engine(true);    // independent of the FGNVM_PHASE_ENGINE
-  eager.set_phase_engine(false);  // env, so every CI matrix leg agrees
 
   struct Planned {
     Cycle at;
@@ -263,8 +264,9 @@ TEST_P(PhaseBoundaryFuzz, RandomWindowsMatchEagerTwin) {
   }
 
   std::size_t next = 0;
-  Cycle now = 0;     // fast twin's clock (window boundaries)
-  Cycle ticked = 0;  // eager twin has ticked every cycle < ticked
+  Cycle now = 0;            // window boundary (fast twin's driver clock)
+  Cycle due = kNeverCycle;  // fast twin's cached next_event
+  Cycle ticked = 0;         // eager twin has ticked every cycle < ticked
   std::uint64_t id = 0;
   std::uint64_t completed_fast = 0, completed_eager = 0;
   while (next < plan.size() || !fast.idle()) {
@@ -289,40 +291,27 @@ TEST_P(PhaseBoundaryFuzz, RandomWindowsMatchEagerTwin) {
       r.addr = dec.decode(plan[next].addr);
       fast.enqueue(r, now);
       eager.enqueue(r, now);
+      due = std::min(due, now);
       ++next;
     }
-    const bool backpressured = next < plan.size() && plan[next].at <= now;
     // Random window: sometimes a single cycle, sometimes spanning whole
-    // phases. While backpressured, acceptance must be retested every cycle.
-    Cycle bound = backpressured ? now + 1 : now + 1 + rng.next_below(200);
-    if (!backpressured && next < plan.size()) {
-      bound = std::min(bound, std::max(plan[next].at, now + 1));
-    }
-    const Cycle fwd = fast.advance_phase(now, bound);
-    ASSERT_GE(fwd, now);
-    if (fwd == kNeverCycle) {
-      // Phase retired everything below the bound and the chain died
-      // (channel idle); let the eager twin tick through the window too.
-      now = next < plan.size() ? std::max(plan[next].at, now + 1) : bound;
+    // drains and bursts.
+    const Cycle limit = now + 1 + rng.next_below(200);
+    if (next < plan.size() && plan[next].at <= now) {
+      // Backpressured: the walk stops at the freeing tick + 1, or at the
+      // first chain cycle >= limit; the driver resumes at the earlier of
+      // that and the limit, as the windowed runner loop does.
+      due = fast.advance_until_accept(due, plan[next].op, limit);
+      ASSERT_NE(due, kNeverCycle) << "blocked channel went idle at " << now;
+      now = std::min(due, limit);
       continue;
     }
-    if (fwd > now) {
-      now = fwd;
-      continue;
-    }
-    fast.tick(now);
-    const Cycle ne = fast.next_event(now);
-    Cycle step;
-    if (ne == kNeverCycle) {
-      if (next >= plan.size()) {
-        now = now + 1;
-        break;
-      }
-      step = std::max(plan[next].at, now + 1);
-    } else {
-      step = std::min(ne, bound);
-    }
-    now = std::max(step, now + 1);
+    const Cycle horizon =
+        next < plan.size() ? std::min(limit, std::max(plan[next].at, now + 1))
+                           : limit;
+    due = fast.advance_to(due, horizon);
+    ASSERT_GE(due, horizon);
+    now = horizon;
   }
   while (ticked < now) {
     eager.tick(ticked);
@@ -337,7 +326,7 @@ TEST_P(PhaseBoundaryFuzz, RandomWindowsMatchEagerTwin) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, PhaseBoundaryFuzz,
+    Seeds, ChainBoundaryFuzz,
     ::testing::Values(SystemFuzzCase{2001, "p1"}, SystemFuzzCase{2002, "p2"},
                       SystemFuzzCase{2003, "p3"}, SystemFuzzCase{2004, "p4"},
                       SystemFuzzCase{2005, "p5"}, SystemFuzzCase{2006, "p6"},

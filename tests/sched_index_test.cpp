@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -278,32 +279,37 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase-engine differential twin (DESIGN.md §12): a controller advanced
-// along its event chain with the analytic phase engine forced ON is
-// compared against an eager twin (engine OFF) that ticks every single
-// cycle. The twins receive the identical arrival stream, and the full stats
-// rendering plus the completed-read ids are compared at EVERY chain/phase
-// boundary — so a phase that overshoots an actionable cycle (skipping an
-// event the eager twin executes) or mis-replays any commit diverges at the
-// very next boundary, pinpointing the phase that fired. Three policies x
-// two bank technologies; DRAM's refresh bookkeeping is not pure-timing, so
-// only the retire-only phase may fire there — the equivalence must hold
-// regardless.
+// Event-chain differential twin: a controller driven only through the
+// production chain walks — advance_to up to the next arrival, and
+// advance_until_accept while backpressured, exactly as sys::MemorySystem
+// and tile::Shard drive it — is compared against an eager twin that ticks
+// every single cycle. The twins receive the identical arrival stream, and
+// the full stats rendering plus the completed-read ids are compared at
+// EVERY window boundary, so a chain walk that skips an actionable cycle
+// (or resumes a blocked driver at the wrong cycle) diverges at the very
+// next boundary. Three policies x two bank technologies (DRAM's refresh
+// bookkeeping is not pure-timing).
 
-struct PhaseTwinCase {
+struct ChainTwinCase {
   SchedulerPolicy policy;
   bool dram;
   std::uint64_t seed;
 };
 
-std::string phase_twin_name(const PhaseTwinCase& c) {
+std::string chain_twin_name(const ChainTwinCase& c) {
   return std::string(to_string(c.policy)) + (c.dram ? "_dram" : "_fgnvm");
 }
 
-class PhaseTwinTest : public ::testing::TestWithParam<PhaseTwinCase> {};
+// Prints the case by name: gtest's default raw byte dump would include the
+// struct's uninitialized padding, so test names would vary between builds.
+void PrintTo(const ChainTwinCase& c, std::ostream* os) {
+  *os << chain_twin_name(c);
+}
 
-TEST_P(PhaseTwinTest, FastForwardMatchesEagerAtEveryBoundary) {
-  const PhaseTwinCase& c = GetParam();
+class ChainTwinTest : public ::testing::TestWithParam<ChainTwinCase> {};
+
+TEST_P(ChainTwinTest, ChainWalkMatchesEagerAtEveryBoundary) {
+  const ChainTwinCase& c = GetParam();
   mem::MemGeometry geo;
   geo.banks_per_rank = 4;
   geo.rows_per_bank = 1024;
@@ -342,8 +348,6 @@ TEST_P(PhaseTwinTest, FastForwardMatchesEagerAtEveryBoundary) {
     eager = std::make_unique<ControllerT<nvm::FgNvmBank>>(geo, timing, cfg,
                                                           make);
   }
-  fast->set_phase_engine(true);    // override the FGNVM_PHASE_ENGINE env
-  eager->set_phase_engine(false);  // default so both CI matrix legs agree
 
   // Write-heavy, row-local bursty plan so drains, row-hit bursts and
   // idle-retire tails all occur. Arrivals are pre-scheduled so both twins
@@ -372,10 +376,8 @@ TEST_P(PhaseTwinTest, FastForwardMatchesEagerAtEveryBoundary) {
          rng.next_bool(0.5) ? OpType::kWrite : OpType::kRead});
   }
   // Quiet read-only tail: long gaps let the idle drain empty the write
-  // queue, leaving isolated in-flight reads — the retire-only phase's
-  // precondition — so the engine provably fires under every policy (the
-  // augmented policy's backgrounded writes veto the burst/drain phases for
-  // most of the mixed portion above).
+  // queue and the chain die between arrivals, so the walks also restart
+  // from an idle channel (due re-armed by enqueue alone).
   for (int i = 0; i < 5; ++i) {
     at += 5000;
     plan.push_back({at,
@@ -391,28 +393,32 @@ TEST_P(PhaseTwinTest, FastForwardMatchesEagerAtEveryBoundary) {
     return s;
   };
 
+  constexpr Cycle kGuard = 10'000'000;
   std::size_t next = 0;
-  Cycle now = 0;      // fast twin's clock (chain/phase boundaries only)
-  Cycle ticked = 0;   // eager twin has ticked every cycle < ticked
+  Cycle now = 0;            // window boundary (fast twin's driver clock)
+  Cycle due = kNeverCycle;  // fast twin's cached next_event, as in a due cache
+  Cycle ticked = 0;         // eager twin has ticked every cycle < ticked
   std::uint64_t id = 0;
   while (next < plan.size() || !fast->idle()) {
-    ASSERT_LT(now, 10'000'000u) << phase_twin_name(c);
+    ASSERT_LT(now, kGuard) << chain_twin_name(c);
     // Eager twin catches up: ticks EVERY cycle up to the boundary. Ticks at
-    // the fast twin's skipped cycles are no-ops by the next_event contract.
+    // the cycles the chain walk skipped are no-ops by the next_event
+    // contract.
     while (ticked < now) {
       eager->tick(ticked);
       ++ticked;
     }
     // Boundary comparison: every stat, and the exact completed-read ids.
     ASSERT_EQ(fast->stats().to_string(), eager->stats().to_string())
-        << phase_twin_name(c) << " diverged at cycle " << now;
+        << chain_twin_name(c) << " diverged at cycle " << now;
     ASSERT_EQ(ids_of(fast->take_completed()), ids_of(eager->take_completed()))
-        << phase_twin_name(c) << " completions diverged at cycle " << now;
-    // Deliver due arrivals; acceptance must agree (identical state).
+        << chain_twin_name(c) << " completions diverged at cycle " << now;
+    // Deliver due arrivals; acceptance must agree (identical state). An
+    // enqueue re-arms the due cache at `now`, as MemorySystem::submit does.
     while (next < plan.size() && plan[next].at <= now) {
       ASSERT_EQ(fast->can_accept(plan[next].op),
                 eager->can_accept(plan[next].op))
-          << phase_twin_name(c) << " at cycle " << now;
+          << chain_twin_name(c) << " at cycle " << now;
       if (!fast->can_accept(plan[next].op)) break;
       mem::MemRequest r;
       r.id = id++;
@@ -420,80 +426,48 @@ TEST_P(PhaseTwinTest, FastForwardMatchesEagerAtEveryBoundary) {
       r.addr = dec.decode(plan[next].addr);
       fast->enqueue(r, now);
       eager->enqueue(r, now);
+      due = std::min(due, now);
       ++next;
     }
-    // While backpressured, step cycle by cycle (acceptance is retested at
-    // every cycle, as the runner's serial schedule would).
-    const bool backpressured = next < plan.size() && plan[next].at <= now;
-    const Cycle bound =
-        backpressured
-            ? now + 1
-            : (next < plan.size() ? std::max(plan[next].at, now + 1)
-                                  : now + 100'000);
-    // advance_phase replays events strictly below `bound` and returns the
-    // next due cycle (which may lie beyond the bound — it is the resume
-    // point, not a replayed cycle). Overshooting an actionable cycle would
-    // skip an event the eager twin executes, so it surfaces as a stats or
-    // completion divergence at the very next boundary comparison above.
-    const Cycle fwd = fast->advance_phase(now, bound);
-    ASSERT_GE(fwd, now) << phase_twin_name(c);
-    if (fwd == kNeverCycle) {
-      // The phase retired everything below the bound and the chain died
-      // (channel idle). Let the eager twin tick through the window too.
-      now = next < plan.size() ? std::max(plan[next].at, now + 1) : bound;
+    if (next < plan.size() && plan[next].at <= now) {
+      // Backpressured: walk the chain until capacity frees; the driver
+      // resumes (and submits) at the freeing tick + 1.
+      due = fast->advance_until_accept(due, plan[next].op, kGuard);
+      ASSERT_LT(due, kGuard) << chain_twin_name(c) << " wedged at " << now;
+      ASSERT_TRUE(fast->can_accept(plan[next].op)) << chain_twin_name(c);
+      now = due;
       continue;
     }
-    if (fwd > now) {
-      now = fwd;  // phase replayed [now, min(fwd, bound)); eager re-executes
-      continue;
-    }
-    fast->tick(now);
-    const Cycle ne = fast->next_event(now);
-    Cycle step;
-    if (ne == kNeverCycle) {
-      if (next >= plan.size()) {
-        now = now + 1;  // final boundary: let the eager twin tick `now`
-        break;
-      }
-      step = std::max(plan[next].at, now + 1);
-    } else {
-      step = std::min(ne, bound);
-    }
-    now = std::max(step, now + 1);
+    const Cycle horizon = next < plan.size()
+                              ? std::max(plan[next].at, now + 1)
+                              : now + 100'000;
+    due = fast->advance_to(due, horizon);
+    ASSERT_GE(due, horizon) << chain_twin_name(c);
+    now = horizon;
   }
   while (ticked < now) {
     eager->tick(ticked);
     ++ticked;
   }
   EXPECT_EQ(fast->stats().to_string(), eager->stats().to_string())
-      << phase_twin_name(c) << " final stats";
+      << chain_twin_name(c) << " final stats";
   EXPECT_EQ(ids_of(fast->take_completed()), ids_of(eager->take_completed()));
   EXPECT_TRUE(eager->idle());
-  EXPECT_EQ(next, plan.size()) << phase_twin_name(c);
-  // The eager twin must never fast-forward, and the FgNVM fast twin must
-  // actually exercise the phase engine (DRAM is not pure-timing, so only
-  // its retire-only phase may fire — equivalence is the assertion there).
-  const PhaseStats& ps = fast->phase_stats();
-  const PhaseStats& eps = eager->phase_stats();
-  EXPECT_EQ(eps.retire_phases + eps.drain_phases + eps.burst_phases, 0u);
-  if (!c.dram) {
-    EXPECT_GT(ps.retire_phases + ps.drain_phases + ps.burst_phases, 0u)
-        << phase_twin_name(c) << ": phase engine never fired";
-  }
+  EXPECT_EQ(next, plan.size()) << chain_twin_name(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Twin, PhaseTwinTest,
-    ::testing::Values(PhaseTwinCase{SchedulerPolicy::kFcfs, false, 101},
-                      PhaseTwinCase{SchedulerPolicy::kFrfcfs, false, 102},
-                      PhaseTwinCase{SchedulerPolicy::kFrfcfsAugmented, false,
+    Twin, ChainTwinTest,
+    ::testing::Values(ChainTwinCase{SchedulerPolicy::kFcfs, false, 101},
+                      ChainTwinCase{SchedulerPolicy::kFrfcfs, false, 102},
+                      ChainTwinCase{SchedulerPolicy::kFrfcfsAugmented, false,
                                     103},
-                      PhaseTwinCase{SchedulerPolicy::kFcfs, true, 104},
-                      PhaseTwinCase{SchedulerPolicy::kFrfcfs, true, 105},
-                      PhaseTwinCase{SchedulerPolicy::kFrfcfsAugmented, true,
+                      ChainTwinCase{SchedulerPolicy::kFcfs, true, 104},
+                      ChainTwinCase{SchedulerPolicy::kFrfcfs, true, 105},
+                      ChainTwinCase{SchedulerPolicy::kFrfcfsAugmented, true,
                                     106}),
-    [](const ::testing::TestParamInfo<PhaseTwinCase>& info) {
-      return phase_twin_name(info.param);
+    [](const ::testing::TestParamInfo<ChainTwinCase>& info) {
+      return chain_twin_name(info.param);
     });
 
 // ---------------------------------------------------------------------------
@@ -530,7 +504,8 @@ TEST(CoreFastForwardDifferential, NextActionNeverOvershoots) {
          {sys::fgnvm_config(4, 4), tiny, sys::dram_config(4)}) {
       sys::MemorySystem mem(cfg);
       mem.set_eager_ticking(true);
-      cpu::RobCpu core(tr, {}, mem);
+      trace::TraceSource src(tr);
+      cpu::RobCpu core(src, {}, mem);
       std::vector<mem::MemRequest> done;
       Cycle t = 0;
       while (!core.finished() || !mem.idle()) {

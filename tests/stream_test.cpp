@@ -144,16 +144,6 @@ TEST(StreamTest, BufferedFallbackReadsIdenticalRecords) {
   EXPECT_LE(r.peak_resident_bytes(), r.window_bytes() + 4096);
 }
 
-TEST(StreamTest, EnvVarForcesBufferedFallback) {
-  const Trace t = small_trace(100);
-  ScopedFile f(tmp_path("env.fgs"));
-  write_trace_stream_file(f.path, t);
-  ::setenv("FGNVM_STREAM_NO_MMAP", "1", 1);
-  const bool mmap_used = StreamReader(f.path).using_mmap();
-  ::unsetenv("FGNVM_STREAM_NO_MMAP");
-  EXPECT_FALSE(mmap_used);
-}
-
 TEST(StreamTest, ResetReplaysFromTheTop) {
   const Trace t = small_trace(64);
   ScopedFile f(tmp_path("reset.fgs"));
