@@ -146,6 +146,37 @@ void BM_TryIssueDeepQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_TryIssueDeepQueue)->Args({8, 8})->Args({32, 32});
 
+void BM_TryIssueWriteDrain(benchmark::State& state) {
+  // The same tick loop fed a write-heavy stream (mcf at 80% writes): the
+  // write queue keeps crossing its high watermark, so the tick path runs
+  // the drain's write selection while most ready writes wait only for the
+  // one data bus and already carry the bus-blocked flag.
+  const sys::SystemConfig cfg =
+      deep_queue_config(state.range(0), state.range(1));
+  sys::MemorySystem mem(cfg);
+  trace::WorkloadProfile p = trace::spec2006_profile("mcf");
+  p.write_fraction = 0.8;
+  const trace::Trace tr = trace::generate_trace(p, 8192);
+  std::vector<mem::MemRequest> out;
+  Cycle now = 0;
+  std::size_t rec = 0;
+  for (auto _ : state) {
+    while (true) {
+      const trace::TraceRecord& r = tr.records[rec];
+      if (!mem.can_accept(r.addr, r.op)) break;
+      mem.submit(r.addr, r.op, now, 0);
+      rec = (rec + 1) % tr.records.size();
+    }
+    mem.tick(now);
+    mem.drain_completed(out);
+    benchmark::DoNotOptimize(out.data());
+    out.clear();
+    ++now;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TryIssueWriteDrain)->Args({8, 8})->Args({32, 32});
+
 void BM_NextEventDeepQueue(benchmark::State& state) {
   // next_event against a saturated 64-entry read queue plus queued writes —
   // the event-skipping loop's query cost at depth. The indexed scheduler

@@ -1,6 +1,9 @@
 #include "common/sweep.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "common/log.hpp"
@@ -26,8 +29,16 @@ unsigned sweep_thread_count(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("FGNVM_THREADS")) {
     char* end = nullptr;
+    errno = 0;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<unsigned>(v);
+    // Digits only: strtol alone would also take leading blanks and a sign.
+    constexpr long kMax = std::numeric_limits<unsigned>::max();
+    if (*env < '0' || *env > '9' || *end != '\0' || errno == ERANGE ||
+        v <= 0 || v > kMax) {
+      throw std::runtime_error(std::string("FGNVM_THREADS='") + env +
+                               "' is not a positive integer");
+    }
+    return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

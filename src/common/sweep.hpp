@@ -21,8 +21,10 @@
 namespace fgnvm::sim {
 
 /// Worker threads a sweep should use: `requested` when nonzero, else the
-/// FGNVM_THREADS environment variable (positive integer), else
-/// std::thread::hardware_concurrency() (minimum 1).
+/// FGNVM_THREADS environment variable, else
+/// std::thread::hardware_concurrency() (minimum 1). Throws
+/// std::runtime_error naming the variable and its value when FGNVM_THREADS
+/// is set but is not a positive integer.
 unsigned sweep_thread_count(unsigned requested = 0);
 
 /// Validates a user-supplied thread/shard count: 0 falls back to 1 and

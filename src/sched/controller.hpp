@@ -327,7 +327,8 @@ class ControllerT final : public ControllerBase {
   void retire_reads(Cycle now);
 
   // ---- indexed issue selection (side-effect free; commit happens in the
-  // try_issue_* wrappers after the optional oracle comparison) ------------
+  // try_issue_* wrappers after the optional oracle comparison). to_flag
+  // receives only requests not yet bus_blocked. -------------------------
   std::int32_t select_read_column_indexed(
       Cycle now, std::vector<std::int32_t>& to_flag) const;
   ActPick select_read_activate_indexed(Cycle now) const;
@@ -356,8 +357,8 @@ class ControllerT final : public ControllerBase {
                    std::vector<std::int32_t>& flags,
                    std::vector<std::int32_t>& ref_flags) const;
 
-  /// Applies the sticky bus_blocked flags a selection produced, dirtying
-  /// the affected banks on false -> true transitions.
+  /// Applies the sticky bus_blocked flags a selection produced (each slot
+  /// is a false -> true transition), dirtying the affected banks.
   void apply_read_flags(const std::vector<std::int32_t>& slots);
   void apply_write_flags(const std::vector<std::int32_t>& slots);
 

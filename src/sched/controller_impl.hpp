@@ -235,7 +235,10 @@ bool ControllerT<BankT>::write_conflicts_with_reads(
 // bank-ready read earns the sticky bus_blocked flag and nothing issues.
 // Bank-ready reads are exactly the members of the open-row lists of the
 // non-empty (bank, SAG) groups (sensed implies open row), so the indexed
-// scan touches only eligible rows.
+// scan touches only eligible rows. With the bus busy a read that already
+// carries the flag can neither win nor change state, so the indexed scan
+// skips it and reports only the flag transitions (the reference scan's
+// list minus already-flagged slots, see try_issue_read_column).
 // ---------------------------------------------------------------------------
 
 template <typename BankT>
@@ -271,15 +274,18 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
   if (ridx_.empty()) return -1;
   const Cycle data_start = now + timing_.tCAS;
   const bool bus_free = bus_.available(data_start);
+  // Column minima that can still act at `now`: a flagged read only matters
+  // when it can win, i.e. with the bus free; with the bus busy only an
+  // unflagged bank-ready read does anything (it earns the flag).
+  const auto col_due = [&](Cycle plain, Cycle flagged) {
+    return bus_free ? std::min(plain, flagged) : plain;
+  };
   // O(1) out: no bank has a read column candidate due yet, so there is
-  // nothing to issue and nothing to (re-)flag. The flagged minimum stays in
-  // the fold because the reference scan re-flags already-flagged bank-ready
-  // candidates (a no-op on state, but part of the compared flag lists).
+  // nothing to issue and nothing to flag.
   refresh_global();
-  if (global_valid_) {
-    const Cycle due = std::min(global_cand_.read_col_plain,
-                               global_cand_.read_col_flagged);
-    if (due > now) return -1;
+  if (global_valid_ && col_due(global_cand_.read_col_plain,
+                               global_cand_.read_col_flagged) > now) {
+    return -1;
   }
   if (cfg_.policy == SchedulerPolicy::kFcfs) {
     // FCFS examines the queue head only.
@@ -293,8 +299,8 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
                                  now) > now) {
       return -1;
     }
-    if (!bus_.available(data_start)) {
-      to_flag.push_back(s);
+    if (!bus_free) {
+      if (!ridx_.flagged(s)) to_flag.push_back(s);
       return -1;
     }
     return s;
@@ -317,14 +323,13 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
   std::uint64_t winner_seq = ~0ULL;
   const std::uint64_t nbanks = banks_.size();
   for (std::uint64_t b = 0; b < nbanks; ++b) {
-    // A clean pure-timing bank's cached candidates are exact: if neither
-    // the plain nor the flagged column minimum has arrived yet, no member
-    // of this bank can issue (or be (re-)flagged) at `now`.
+    // A clean pure-timing bank's cached candidates are exact: if no column
+    // minimum that can act (see col_due) has arrived yet, no member of this
+    // bank can issue or be flagged at `now`.
     const bool cand_exact = !bank_dirty_[b] && bank_pure_[b];
-    if (cand_exact) {
-      const Cycle due = std::min(bank_cand_[b].read_col_plain,
-                                 bank_cand_[b].read_col_flagged);
-      if (due > now) continue;
+    if (cand_exact && col_due(bank_cand_[b].read_col_plain,
+                              bank_cand_[b].read_col_flagged) > now) {
+      continue;
     }
     const BankT& bank = *typed_[b];
     for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
@@ -332,7 +337,7 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
       // recompute walk caches alongside the bank minima.
       if (cand_exact) {
         const GroupReadCand& gc = group_rcand_[g];
-        if (std::min(gc.col_plain, gc.col_flagged) > now) continue;
+        if (col_due(gc.col_plain, gc.col_flagged) > now) continue;
       }
       // With the bus free nothing gets flagged, and every member of the
       // group is younger than its head — a head already younger than the
@@ -353,10 +358,11 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
            s = ridx_.row_next(s)) {
         ridx_.prefetch(ridx_.row_next(s));
         // With the bus free nothing gets flagged, so younger-than-winner
-        // members can skip the timing probes outright. Probes are keyed by
-        // the index's SoA image; a SAG is a contiguous row range, so every
-        // (bank, row) list member shares the group's SAG.
-        if (bus_ok && ridx_.seq(s) >= winner_seq) continue;
+        // members can skip the timing probes outright; with it busy nothing
+        // wins, so already-flagged members have nothing left to do. Probes
+        // are keyed by the index's SoA image; a SAG is a contiguous row
+        // range, so every (bank, row) list member shares the group's SAG.
+        if (bus_ok ? ridx_.seq(s) >= winner_seq : ridx_.flagged(s)) continue;
         if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
         if constexpr (detail::kDecomposedColumnProbe<BankT>) {
           if (bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base) >
@@ -395,11 +401,10 @@ void ControllerT<BankT>::apply_read_flags(
     const std::vector<std::int32_t>& slots) {
   for (const std::int32_t s : slots) {
     mem::MemRequest& req = rpool_[static_cast<std::size_t>(s)].req;
-    if (!req.bus_blocked) {
-      req.bus_blocked = true;
-      ridx_.set_flag(s, true);
-      mark_bank_dirty(bank_linear(req.addr));
-    }
+    assert(!req.bus_blocked && "selection reports flag transitions only");
+    req.bus_blocked = true;
+    ridx_.set_flag(s, true);
+    mark_bank_dirty(bank_linear(req.addr));
   }
 }
 
@@ -408,11 +413,10 @@ void ControllerT<BankT>::apply_write_flags(
     const std::vector<std::int32_t>& slots) {
   for (const std::int32_t s : slots) {
     mem::MemRequest& w = writes_.at_mut(s);
-    if (!w.bus_blocked) {
-      w.bus_blocked = true;
-      widx_.set_flag(s, true);
-      mark_bank_dirty(bank_linear(w.addr));
-    }
+    assert(!w.bus_blocked && "selection reports flag transitions only");
+    w.bus_blocked = true;
+    widx_.set_flag(s, true);
+    mark_bank_dirty(bank_linear(w.addr));
   }
 }
 
@@ -422,6 +426,12 @@ bool ControllerT<BankT>::try_issue_read_column(Cycle now) {
   if (cross_check_) {
     const std::int32_t ref =
         select_read_column_reference(now, scratch_ref_flags_);
+    // The indexed scan reports flag transitions only; re-flagging an
+    // already-flagged read is a no-op on state, so drop those slots from
+    // the reference list before comparing.
+    std::erase_if(scratch_ref_flags_, [&](std::int32_t s) {
+      return rpool_[static_cast<std::size_t>(s)].req.bus_blocked;
+    });
     verify_pick("read-column selection", slot == ref, scratch_flags_,
                 scratch_ref_flags_);
   }
@@ -652,16 +662,25 @@ auto ControllerT<BankT>::select_write_indexed(
   if (widx_.empty()) return {-1, false};
   const Cycle data_start = now + timing_.tCWD;
   const bool bus_ok = bus_.available(data_start);
-  // O(1) out: no write (ACT or column, plain or flagged) is due yet on any
-  // bank under this drain mode's filters — nothing to pick, nothing to
-  // (re-)flag.
+  // Write minima that can still act at `now` under this drain mode's
+  // filters. ACT candidates live in the plain minima; a flagged column
+  // write only matters when it can win, i.e. with the bus free.
+  const auto write_due = [&](Cycle plain, Cycle flagged, Cycle bg_plain,
+                             Cycle bg_flagged) {
+    if (background_only) {
+      return bus_ok ? std::min(bg_plain, bg_flagged) : bg_plain;
+    }
+    return bus_ok ? std::min(plain, flagged) : plain;
+  };
+  // O(1) out: no write that can act is due yet on any bank — nothing to
+  // pick, nothing to flag.
   refresh_global();
   if (global_valid_) {
     const BankCand& g = global_cand_;
-    const Cycle m = background_only
-                        ? std::min(g.write_bg_plain, g.write_bg_flagged)
-                        : std::min(g.write_plain, g.write_flagged);
-    if (m > now) return {-1, false};
+    if (write_due(g.write_plain, g.write_flagged, g.write_bg_plain,
+                  g.write_bg_flagged) > now) {
+      return {-1, false};
+    }
   }
   // As in read selection, the pass is side-effect-free and bus availability
   // is uniform across candidates, so the arrival-order winner is the min
@@ -707,10 +726,10 @@ auto ControllerT<BankT>::select_write_indexed(
     const bool cand_exact = !bank_dirty_[b] && bank_pure_[b];
     if (cand_exact) {
       const BankCand& c = bank_cand_[b];
-      const Cycle m = background_only
-                          ? std::min(c.write_bg_plain, c.write_bg_flagged)
-                          : std::min(c.write_plain, c.write_flagged);
-      if (m > now) continue;
+      if (write_due(c.write_plain, c.write_flagged, c.write_bg_plain,
+                    c.write_bg_flagged) > now) {
+        continue;
+      }
     }
     const BankT& bank = *typed_[b];
     for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
@@ -719,10 +738,10 @@ auto ControllerT<BankT>::select_write_indexed(
       // load instead of the row-hash probe and timing probes below.
       if (cand_exact) {
         const GroupWriteCand& gc = group_wcand_[g];
-        const Cycle m = background_only
-                            ? std::min(gc.bg_plain, gc.bg_flagged)
-                            : std::min(gc.plain, gc.flagged);
-        if (m > now) continue;
+        if (write_due(gc.plain, gc.flagged, gc.bg_plain, gc.bg_flagged) >
+            now) {
+          continue;
+        }
       }
       if (background_only) {
         // ridx_ and widx_ share the group-id space (bank * num_sags + sag),
@@ -765,9 +784,11 @@ auto ControllerT<BankT>::select_write_indexed(
            s = widx_.row_next(s)) {
         widx_.prefetch(widx_.row_next(s));
         // With the bus free nothing gets flagged, so younger-than-winner
-        // members can skip the timing probes outright. A SAG is a contiguous
-        // row range, so every (bank, row) list member shares the group's SAG.
-        if (bus_ok && widx_.seq(s) >= winner_seq) continue;
+        // members can skip the timing probes outright; with it busy a column
+        // cannot win, so already-flagged members have nothing left to do. A
+        // SAG is a contiguous row range, so every (bank, row) list member
+        // shares the group's SAG.
+        if (bus_ok ? widx_.seq(s) >= winner_seq : widx_.flagged(s)) continue;
         if (background_only && ridx_.cd_overlap_mask(b, widx_.cds(s))) {
           continue;
         }
@@ -809,6 +830,10 @@ bool ControllerT<BankT>::try_issue_write(Cycle now, bool background_only) {
   if (cross_check_) {
     const WritePick ref =
         select_write_reference(now, background_only, scratch_ref_flags_);
+    // Compare flag transitions only, as in try_issue_read_column.
+    std::erase_if(scratch_ref_flags_, [&](std::int32_t s) {
+      return writes_.at(s).bus_blocked;
+    });
     verify_pick("write selection",
                 pick.slot == ref.slot && pick.activate == ref.activate,
                 scratch_flags_, scratch_ref_flags_);

@@ -3,7 +3,7 @@
 // The controller's indexed issue selection and incremental next_event must
 // be bit-identical to the pre-index full-queue scans, which are preserved as
 // a reference oracle. With cross-checking enabled (set_cross_check), every
-// issue decision, sticky bus-flag set, SAG/CD conflict test, closed-page
+// issue decision, bus-flag transition, SAG/CD conflict test, closed-page
 // row-occupancy test, and next_event value is recomputed both ways and the
 // controller throws on the first divergence — so a randomized run that
 // completes at all *is* the differential verdict. These tests drive random
@@ -471,7 +471,176 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Core fast-forward differential: RobCpu::next_action's classification is
+// Bus-blocked drain regime: deep queues fed a write-heavy stream keep many
+// writes ready at the bank and waiting only for the one data bus, so most
+// write selections run with the bus busy and the ready set already flagged.
+// The indexed selectors skip flagged candidates in that state and report
+// only the flag transitions; the oracle, the cycle-accurate loop and a run
+// with the oracle off must still agree on every stat.
+
+struct DrainRun {
+  std::string stats;
+  std::string completed_ids;
+  std::uint64_t column_conflicts = 0;
+};
+
+/// Feeds `tr` to one channel as fast as it accepts and runs it dry, either
+/// ticking every cycle (`eager`) or walking the event chain the way
+/// sys::MemorySystem does (advance_until_accept while backpressured, then
+/// advance_to).
+DrainRun run_drain(const sys::SystemConfig& cfg, const trace::Trace& tr,
+                   bool cross_check, bool eager) {
+  const std::unique_ptr<ControllerBase> ctrl = sys::make_channel_controller(
+      cfg.bank_kind, cfg.geometry, cfg.timing, cfg.controller, cfg.modes);
+  ctrl->set_cross_check(cross_check);
+  const mem::AddressDecoder dec(cfg.geometry, cfg.mapping);
+  constexpr Cycle kGuard = 50'000'000;
+  DrainRun out;
+  const auto take = [&] {
+    for (const mem::MemRequest& r : ctrl->take_completed()) {
+      out.completed_ids += std::to_string(r.id) + ",";
+    }
+  };
+  std::size_t next = 0;
+  Cycle now = 0;
+  Cycle due = kNeverCycle;
+  while (next < tr.records.size() || !ctrl->idle()) {
+    if (now >= kGuard) {
+      ADD_FAILURE() << cfg.name << " did not converge";
+      break;
+    }
+    take();
+    while (next < tr.records.size() &&
+           ctrl->can_accept(tr.records[next].op)) {
+      mem::MemRequest r;
+      r.id = next;
+      r.op = tr.records[next].op;
+      r.addr = dec.decode(tr.records[next].addr);
+      ctrl->enqueue(r, now);
+      due = std::min(due, now);
+      ++next;
+    }
+    if (eager) {
+      ctrl->tick(now);
+      ++now;
+    } else if (next < tr.records.size()) {
+      now = due = ctrl->advance_until_accept(due, tr.records[next].op, kGuard);
+    } else {
+      ctrl->advance_to(due, kGuard);
+      break;
+    }
+  }
+  take();
+  EXPECT_TRUE(ctrl->idle()) << cfg.name << " did not drain";
+  out.stats = ctrl->stats().to_string();
+  out.column_conflicts = ctrl->stats().counter("bus.column_conflicts");
+  return out;
+}
+
+TEST(BusBlockedDrain, FlagTransitionsMatchOracleAndCycleAccurate) {
+  trace::WorkloadProfile prof = trace::spec2006_profile("mcf");
+  prof.write_fraction = 0.8;
+  const trace::Trace tr = trace::generate_trace(prof, 3000);
+  std::vector<sys::SystemConfig> cfgs;
+  for (const bool multi_issue : {false, true}) {
+    cfgs.push_back(sys::fgnvm_config(8, 8, multi_issue));
+  }
+  cfgs.push_back(sys::dram_config(4));
+  for (sys::SystemConfig& cfg : cfgs) {
+    cfg.controller.read_queue_cap = 64;
+    cfg.controller.write_queue_cap = 128;
+    cfg.controller.wq_high = 64;
+    cfg.controller.wq_low = 16;
+    const DrainRun checked = run_drain(cfg, tr, /*cross_check=*/true,
+                                       /*eager=*/false);
+    // The run provably reaches the regime: bursts were delayed by the bus.
+    EXPECT_GT(checked.column_conflicts, 0u) << cfg.name;
+    const DrainRun plain = run_drain(cfg, tr, false, false);
+    EXPECT_EQ(checked.stats, plain.stats) << cfg.name << " oracle off";
+    EXPECT_EQ(checked.completed_ids, plain.completed_ids) << cfg.name;
+    const DrainRun eager = run_drain(cfg, tr, true, true);
+    EXPECT_EQ(checked.stats, eager.stats) << cfg.name << " cycle-accurate";
+    EXPECT_EQ(checked.completed_ids, eager.completed_ids) << cfg.name;
+  }
+}
+
+TEST(BusBlockedDrain, NewlyReadyWriteFlaggedBesideFlaggedOne) {
+  // Hand-built: W0 and W1 open rows in banks 0 and 1 (one bank's own
+  // column spacing, tCCD, already covers a burst); W0's burst reserves the
+  // single bus lane, so W1, column-ready next to it, earns the flag. W2
+  // then joins W1's open row on another CD while the bus is still
+  // reserved. The next tick must flag W2 and leave W1 as it was.
+  mem::MemGeometry geo;
+  geo.banks_per_rank = 2;
+  geo.rows_per_bank = 1024;
+  geo.row_bytes = 1024;
+  geo.line_bytes = 64;
+  geo.num_sags = 4;
+  geo.num_cds = 4;
+  const mem::TimingParams timing;
+  ControllerConfig cfg;
+  cfg.policy = SchedulerPolicy::kFrfcfs;
+  cfg.wq_low = 1;  // drain writes on the idle path as soon as they arrive
+  const mem::AddressDecoder dec(geo);
+  ControllerT<nvm::FgNvmBank> ctrl(
+      geo, timing, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
+        return std::make_unique<nvm::FgNvmBank>(geo, timing,
+                                                nvm::AccessModes::all_on());
+      });
+  ctrl.set_cross_check(true);
+  const auto write = [&](RequestId id, std::uint64_t bank, std::uint64_t row,
+                         std::uint64_t col) {
+    mem::MemRequest r;
+    r.id = id;
+    r.op = OpType::kWrite;
+    r.addr = dec.decode(dec.encode(0, 0, bank, row, col));
+    return r;
+  };
+  // Rows 0 and 256 sit in SAGs 0 and 1; columns 0, 4 and 8 in CDs 0-2.
+  const mem::MemRequest w0 = write(0, 0, 0, 0);
+  const mem::MemRequest w1 = write(1, 1, 256, 4);
+  const mem::MemRequest w2 = write(2, 1, 256, 8);
+  const auto flagged = [&](RequestId id) {
+    const WriteQueue& q = ctrl.write_queue();
+    for (std::int32_t s = q.first(); s >= 0; s = q.next(s)) {
+      if (q.at(s).id == id) return q.at(s).bus_blocked;
+    }
+    ADD_FAILURE() << "write " << id << " left the queue";
+    return false;
+  };
+  const auto bank_ready = [&](const mem::MemRequest& w, Cycle now) {
+    const nvm::Bank& bank = *ctrl.banks()[w.addr.bank];
+    return bank.row_open(w.addr) &&
+           bank.earliest_column(w.addr, OpType::kWrite, now) <= now;
+  };
+
+  ctrl.enqueue(w0, 0);
+  ctrl.enqueue(w1, 0);
+  Cycle now = 0;
+  // Tick until W1 carries the flag (W0's burst holds the bus).
+  for (; now < 10'000 && !flagged(1); ++now) ctrl.tick(now);
+  ASSERT_TRUE(flagged(1));
+  ASSERT_EQ(ctrl.stats().counter("cmd.write"), 1u);  // W0's column
+
+  ctrl.enqueue(w2, now);
+  ASSERT_FALSE(ctrl.bus().available(now + timing.tCWD));
+  ASSERT_TRUE(bank_ready(w1, now));
+  ASSERT_TRUE(bank_ready(w2, now));
+  ASSERT_FALSE(flagged(2));
+  ctrl.tick(now);
+  EXPECT_TRUE(flagged(2));
+  EXPECT_TRUE(flagged(1));
+  EXPECT_EQ(ctrl.stats().counter("cmd.write"), 1u);  // nothing issued
+
+  // Each delayed burst is counted once, at issue.
+  for (++now; now < 10'000 && !ctrl.idle(); ++now) ctrl.tick(now);
+  EXPECT_TRUE(ctrl.idle());
+  EXPECT_EQ(ctrl.stats().counter("cmd.write"), 3u);
+  EXPECT_EQ(ctrl.stats().counter("bus.column_conflicts"), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Core fast-forward differential:RobCpu::next_action's classification is
 // checked against eager cycle-by-cycle ticking at EVERY memory cycle of a
 // full run. The contract (DESIGN.md §10): a kActs prediction for a future
 // cycle means nothing externally visible (submission, backpressure stall,

@@ -25,10 +25,27 @@ TEST(SweepThreadCount, RequestedWinsAndEnvFallsBack) {
   setenv("FGNVM_THREADS", "5", 1);
   EXPECT_EQ(sim::sweep_thread_count(), 5u);
   EXPECT_EQ(sim::sweep_thread_count(2), 2u);  // explicit beats env
-  setenv("FGNVM_THREADS", "bogus", 1);
-  EXPECT_GE(sim::sweep_thread_count(), 1u);  // falls back to hardware
   unsetenv("FGNVM_THREADS");
-  EXPECT_GE(sim::sweep_thread_count(), 1u);
+  EXPECT_GE(sim::sweep_thread_count(), 1u);  // falls back to hardware
+}
+
+TEST(SweepThreadCount, MalformedEnvThrowsNamingTheValue) {
+  for (const char* bad : {"abc", "bogus", "0", "-3", "4x", "", " 2",
+                          "99999999999999999999"}) {
+    setenv("FGNVM_THREADS", bad, 1);
+    try {
+      sim::sweep_thread_count();
+      ADD_FAILURE() << "FGNVM_THREADS='" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("FGNVM_THREADS"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos)
+          << msg;
+    }
+    // An explicit request never consults the variable.
+    EXPECT_EQ(sim::sweep_thread_count(2), 2u);
+  }
+  unsetenv("FGNVM_THREADS");
 }
 
 TEST(SweepRunner, MapCoversEveryIndexInOrder) {
