@@ -12,6 +12,8 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
@@ -101,11 +103,14 @@ int main(int argc, char** argv) {
     if (opts->obs_prefix) cfg.obs.enabled = true;
     // `hybrid = true` puts a DRAM partition with RBLA migration in front of
     // the FgNVM backend (DESIGN.md §13); hybrid_* keys tune it.
-    std::optional<sys::HybridSystemConfig> hybrid;
+    sim::SystemSpec spec = cfg;
     if (raw.get_bool("hybrid", false)) {
-      hybrid.emplace(sys::HybridSystemConfig::from_config(raw));
-      hybrid->nvm.obs.enabled = cfg.obs.enabled;
+      sys::HybridSystemConfig h = sys::HybridSystemConfig::from_config(raw);
+      h.nvm.obs.enabled = cfg.obs.enabled;
+      spec = std::move(h);
     }
+    const auto* hybrid = std::get_if<sys::HybridSystemConfig>(&spec);
+    const cpu::CpuParams cpu_params = cpu::CpuParams::from_config(raw);
 
     trace::Trace tr;
     if (opts->trace_path) {
@@ -129,11 +134,9 @@ int main(int argc, char** argv) {
               << " memory ops, " << tr.total_instructions()
               << " instructions\n\n";
 
-    const sim::RunResult r =
-        hybrid ? (opts->memory_only ? sim::run_memory_only(tr, *hybrid)
-                                    : sim::run_workload(tr, *hybrid))
-               : (opts->memory_only ? sim::run_memory_only(tr, cfg)
-                                    : sim::run_workload(tr, cfg));
+    const sim::RunResult r = opts->memory_only
+                                 ? sim::run_memory_only(tr, spec)
+                                 : sim::run_workload(tr, spec, cpu_params);
 
     if (!opts->memory_only) {
       std::cout << "IPC                 " << r.ipc << "\n";

@@ -4,9 +4,15 @@
 // a bank *when* a command could issue (earliest_*) and then commits to it
 // (issue_*). Banks track row-buffer / tile-group state and accumulate the raw
 // counts the energy model consumes.
+//
+// The interface is virtual for ownership and the cold per-bank queries
+// (stats, energy, obs sampling). The scheduler's hot scans instead call the
+// keyed probes (segments_sensed_key, earliest_column_key,
+// earliest_activate_key, column_base_key, column_fold_key — DESIGN.md §12)
+// that each concrete final bank defines inline, through
+// sched::ControllerT<ConcreteBank>.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -85,30 +91,6 @@ class Bank {
   virtual Cycle earliest_column(const mem::DecodedAddr& a, OpType op,
                                 Cycle now) const = 0;
 
-  // ---- keyed probe adapters (DESIGN.md §12) ------------------------------
-  // The scheduler's hot scans probe by the (sag, row, line-CD mask) image
-  // its request index caches per slot. The statically-dispatched controller
-  // instantiations resolve these to the concrete banks' inline shadowing
-  // definitions; this generic fallback (used by ControllerT<nvm::Bank>)
-  // rebuilds the address fields — a contiguous line mask is (cd, cd_count)
-  // in bitmask form — and goes through the virtuals, so both dispatch paths
-  // answer identically.
-
-  bool segments_sensed_key(std::uint64_t sag, std::uint64_t row,
-                           std::uint64_t line_mask) const {
-    return segments_sensed(key_addr(sag, row, line_mask));
-  }
-  Cycle earliest_column_key(std::uint64_t sag, std::uint64_t line_mask,
-                            OpType op, Cycle now) const {
-    return earliest_column(key_addr(sag, open_row_of(sag), line_mask), op,
-                           now);
-  }
-  Cycle earliest_activate_key(std::uint64_t sag, std::uint64_t row,
-                              std::uint64_t line_mask, std::uint64_t extra_cds,
-                              ActPurpose p, Cycle now) const {
-    return earliest_activate(key_addr(sag, row, line_mask), p, now, extra_cds);
-  }
-
   /// Commits an activation starting at `at` (must be >= earliest_activate).
   virtual void issue_activate(const mem::DecodedAddr& a, ActPurpose p,
                               Cycle at, std::uint64_t extra_cds = 0) = 0;
@@ -160,21 +142,6 @@ class Bank {
   virtual std::uint64_t active_cds(Cycle now) const {
     (void)now;
     return 0;
-  }
-
- private:
-  /// Rebuilds the address fields the virtual probes read from a keyed-probe
-  /// image. Line-CD masks are contiguous, so (cd, cd_count) round-trips.
-  static mem::DecodedAddr key_addr(std::uint64_t sag, std::uint64_t row,
-                                   std::uint64_t line_mask) {
-    mem::DecodedAddr a{};
-    a.row = row;
-    a.sag = sag;
-    a.cd = line_mask == 0
-               ? 0
-               : static_cast<std::uint64_t>(std::countr_zero(line_mask));
-    a.cd_count = static_cast<std::uint64_t>(std::popcount(line_mask));
-    return a;
   }
 };
 

@@ -76,9 +76,8 @@ ControllerConfig ControllerConfig::from_config(const Config& cfg) {
   return c;
 }
 
-// The shipped configurations. Everything else links against these through
+// The two bank kinds. Everything else links against these through
 // controller.hpp's extern template declarations.
-template class ControllerT<nvm::Bank>;
 template class ControllerT<nvm::FgNvmBank>;
 template class ControllerT<dram::DramBank>;
 

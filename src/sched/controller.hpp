@@ -28,11 +28,9 @@
 // bank classes devirtualize, and header-inline queries inline into the
 // selection loops. ControllerBase is the thin type-erased facade
 // sys::MemorySystem drives (one virtual call per due-channel tick, none per
-// candidate). ControllerT<nvm::Bank> keeps the fully virtual dispatch for
-// tests and custom bank doubles; `Controller` aliases it for source
-// compatibility. The shipped instantiations (nvm::Bank, nvm::FgNvmBank,
-// dram::DramBank) are explicit — see controller.cpp; ControllerT bodies
-// live in controller_impl.hpp and are not pulled into user TUs.
+// candidate). The two instantiations (nvm::FgNvmBank, dram::DramBank) are
+// explicit — see controller.cpp; ControllerT bodies live in
+// controller_impl.hpp and are not pulled into user TUs.
 #pragma once
 
 #include <cstdint>
@@ -191,11 +189,10 @@ class ControllerBase {
   virtual void sample_obs(Cycle now, obs::ChannelSample& s) const = 0;
 };
 
-/// The controller, generic over the concrete bank type. BankT must be
-/// nvm::Bank (fully virtual dispatch — the compatibility/test
-/// configuration) or a final class derived from it; the factory must
-/// produce exactly BankT instances. All shipped instantiations are
-/// explicit (see the extern template declarations below).
+/// The controller, generic over the concrete bank type. BankT is a final
+/// class derived from nvm::Bank; the factory must produce exactly BankT
+/// instances. Both instantiations are explicit (see the extern template
+/// declarations below).
 template <typename BankT>
 class ControllerT final : public ControllerBase {
  public:
@@ -433,15 +430,9 @@ class ControllerT final : public ControllerBase {
   Histogram* h_read_latency_hist_ = nullptr;
 };
 
-/// The shipped instantiations live in controller.cpp; everything else sees
-/// only these declarations (ControllerT bodies stay out of user TUs).
-extern template class ControllerT<nvm::Bank>;
+/// The instantiations live in controller.cpp; everything else sees only
+/// these declarations (ControllerT bodies stay out of user TUs).
 extern template class ControllerT<nvm::FgNvmBank>;
 extern template class ControllerT<dram::DramBank>;
-
-/// Source-compatibility alias: the fully virtual configuration, used by the
-/// controller unit/differential tests and anything not hot enough to pick a
-/// concrete bank type.
-using Controller = ControllerT<nvm::Bank>;
 
 }  // namespace fgnvm::sched

@@ -1,33 +1,20 @@
 // ControllerT member definitions. Included only by TUs that explicitly
 // instantiate the template (controller.cpp for the shipped bank types) —
 // user code sees controller.hpp's extern template declarations instead.
-// BankT must be complete wherever this header is instantiated.
+// BankT must be complete wherever this header is instantiated, and must
+// provide the keyed probes and the decomposed column probe
+// (column_base_key / column_fold_key, see FgNvmBank): the row-list scans
+// hoist the member-independent base out of each walk and fold only the
+// per-member CD locks inside it.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <type_traits>
 
 #include "sched/controller.hpp"
 
 namespace fgnvm::sched {
-
-namespace detail {
-
-/// True when BankT exposes the decomposed column probe (column_base_key /
-/// column_fold_key, see FgNvmBank): the row-list scans then hoist the
-/// member-independent base out of the walk and fold only the per-member CD
-/// locks inside it. The generic ControllerT<nvm::Bank> instantiation keeps
-/// the one-shot keyed probe — decomposability is a property of the concrete
-/// timing model, not of the interface.
-template <typename BankT>
-concept kDecomposedColumnProbe = requires(const BankT& bk) {
-  bk.column_base_key(std::uint64_t{0}, OpType::kRead, Cycle{0});
-  bk.column_fold_key(std::uint64_t{0}, OpType::kRead, Cycle{0});
-};
-
-}  // namespace detail
 
 template <typename BankT>
 ControllerT<BankT>::ControllerT(const mem::MemGeometry& geometry,
@@ -45,17 +32,13 @@ ControllerT<BankT>::ControllerT(const mem::MemGeometry& geometry,
   for (std::uint64_t i = 0; i < n; ++i) banks_.push_back(make_bank());
   typed_.reserve(n);
   for (const auto& b : banks_) {
-    if constexpr (std::is_same_v<BankT, nvm::Bank>) {
-      typed_.push_back(b.get());
-    } else {
-      auto* t = dynamic_cast<BankT*>(b.get());
-      if (t == nullptr) {
-        throw std::runtime_error(
-            "ControllerT: bank factory produced a bank that is not the "
-            "instantiated concrete type");
-      }
-      typed_.push_back(t);
+    auto* t = dynamic_cast<BankT*>(b.get());
+    if (t == nullptr) {
+      throw std::runtime_error(
+          "ControllerT: bank factory produced a bank that is not the "
+          "instantiated concrete type");
     }
+    typed_.push_back(t);
   }
   sag_last_read_.assign(n * geo_.num_sags, 0);
 
@@ -349,11 +332,8 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
       // Hoist the member-independent half of the column probe; a member's
       // earliest column is >= the base, so a late base rules out the whole
       // group (both as winner and as flag candidates) in one check.
-      [[maybe_unused]] Cycle col_base = 0;
-      if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-        col_base = bank.column_base_key(sag, OpType::kRead, now);
-        if (col_base > now) continue;
-      }
+      const Cycle col_base = bank.column_base_key(sag, OpType::kRead, now);
+      if (col_base > now) continue;
       for (std::int32_t s = ridx_.row_head(b, row); s >= 0;
            s = ridx_.row_next(s)) {
         ridx_.prefetch(ridx_.row_next(s));
@@ -364,16 +344,9 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
         // range, so every (bank, row) list member shares the group's SAG.
         if (bus_ok ? ridx_.seq(s) >= winner_seq : ridx_.flagged(s)) continue;
         if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
-        if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-          if (bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base) >
-              now) {
-            continue;
-          }
-        } else {
-          if (bank.earliest_column_key(sag, ridx_.cds(s), OpType::kRead,
-                                       now) > now) {
-            continue;
-          }
+        if (bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base) >
+            now) {
+          continue;
         }
         if (bus_ok) {
           winner_seq = ridx_.seq(s);
@@ -775,11 +748,8 @@ auto ControllerT<BankT>::select_write_indexed(
       // Hoist the member-independent half of the column probe; a member's
       // earliest column is >= the base, so a late base rules out every
       // column candidate (winner or flag) in this group at once.
-      [[maybe_unused]] Cycle col_base = 0;
-      if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-        col_base = bank.column_base_key(sag, OpType::kWrite, now);
-        if (col_base > now) continue;
-      }
+      const Cycle col_base = bank.column_base_key(sag, OpType::kWrite, now);
+      if (col_base > now) continue;
       for (std::int32_t s = widx_.row_head(b, row); s >= 0;
            s = widx_.row_next(s)) {
         widx_.prefetch(widx_.row_next(s));
@@ -792,16 +762,9 @@ auto ControllerT<BankT>::select_write_indexed(
         if (background_only && ridx_.cd_overlap_mask(b, widx_.cds(s))) {
           continue;
         }
-        if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-          if (bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base) >
-              now) {
-            continue;
-          }
-        } else {
-          if (bank.earliest_column_key(sag, widx_.cds(s), OpType::kWrite,
-                                       now) > now) {
-            continue;
-          }
+        if (bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base) >
+            now) {
+          continue;
         }
         if (!bus_ok) {
           to_flag.push_back(s);
@@ -1196,20 +1159,13 @@ void ControllerT<BankT>::recompute_bank_cand(std::uint64_t b, Cycle tq) const {
     if (row != kInvalidAddr) {
       // Candidates are minima at tq, so no early-out — but the
       // member-independent base still hoists out of the walk.
-      [[maybe_unused]] Cycle col_base = 0;
-      if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-        col_base = bank.column_base_key(sag, OpType::kRead, tq);
-      }
+      const Cycle col_base = bank.column_base_key(sag, OpType::kRead, tq);
       for (std::int32_t s = ridx_.row_head(b, row); s >= 0;
            s = ridx_.row_next(s)) {
         ridx_.prefetch(ridx_.row_next(s));
         if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
-        Cycle e;
-        if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-          e = bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base);
-        } else {
-          e = bank.earliest_column_key(sag, ridx_.cds(s), OpType::kRead, tq);
-        }
+        const Cycle e =
+            bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base);
         Cycle& tgt = ridx_.flagged(s) ? gc.col_flagged : gc.col_plain;
         tgt = std::min(tgt, e);
       }
@@ -1241,20 +1197,13 @@ void ControllerT<BankT>::recompute_bank_cand(std::uint64_t b, Cycle tq) const {
       }
     }
     if (row != kInvalidAddr) {
-      [[maybe_unused]] Cycle col_base = 0;
-      if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-        col_base = bank.column_base_key(sag, OpType::kWrite, tq);
-      }
+      const Cycle col_base = bank.column_base_key(sag, OpType::kWrite, tq);
       for (std::int32_t s = widx_.row_head(b, row); s >= 0;
            s = widx_.row_next(s)) {
         widx_.prefetch(widx_.row_next(s));
         const bool flg = widx_.flagged(s);
-        Cycle e;
-        if constexpr (detail::kDecomposedColumnProbe<BankT>) {
-          e = bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base);
-        } else {
-          e = bank.earliest_column_key(sag, widx_.cds(s), OpType::kWrite, tq);
-        }
+        const Cycle e =
+            bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base);
         (flg ? gc.flagged : gc.plain) =
             std::min(flg ? gc.flagged : gc.plain, e);
         if (bg_group && !ridx_.cd_overlap_mask(b, widx_.cds(s))) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -19,11 +18,22 @@ double RunResult::energy_per_op_pj() const {
 
 namespace {
 
-/// Builds a fresh system for one loop run. The paranoid cross-check runs
-/// the loop twice, so the loop bodies take a factory instead of a
-/// ready-made system; the concrete type (MemorySystem or
-/// HybridMemorySystem) is the entry-point overload's choice.
-using SystemFactory = std::function<std::unique_ptr<sys::MemorySystem>()>;
+/// Builds a fresh system for one loop run (the paranoid cross-check runs
+/// each loop twice, so every run starts from its own system).
+std::unique_ptr<sys::MemorySystem> make_system(const SystemSpec& spec) {
+  if (const auto* hybrid = std::get_if<sys::HybridSystemConfig>(&spec)) {
+    return std::make_unique<sys::HybridMemorySystem>(*hybrid);
+  }
+  return std::make_unique<sys::MemorySystem>(
+      std::get<sys::SystemConfig>(spec));
+}
+
+const std::string& system_name(const SystemSpec& spec) {
+  if (const auto* hybrid = std::get_if<sys::HybridSystemConfig>(&spec)) {
+    return hybrid->nvm.name;
+  }
+  return std::get<sys::SystemConfig>(spec).name;
+}
 
 RunResult finalize(const std::string& workload, sys::MemorySystem& mem,
                    Cycle mem_cycles) {
@@ -36,11 +46,7 @@ RunResult finalize(const std::string& workload, sys::MemorySystem& mem,
   r.energy = mem.energy(mem_cycles);
   r.banks = mem.bank_totals();
   r.controller = mem.controller_stats();
-  r.avg_read_latency = r.controller.distribution("read_latency").mean();
-  const Histogram& hist = r.controller.histogram("read_latency_hist");
-  r.p50_read_latency = hist.percentile(0.50);
-  r.p95_read_latency = hist.percentile(0.95);
-  r.p99_read_latency = hist.percentile(0.99);
+  fill_read_latency(r);
   mem.finalize_obs(mem_cycles);
   if (obs::Observer* o = mem.observer()) {
     o->set_run_info(workload, mem.config().name);
@@ -50,10 +56,6 @@ RunResult finalize(const std::string& workload, sys::MemorySystem& mem,
   }
   r.obs = mem.observer_ptr();
   return r;
-}
-
-bool event_skip(LoopMode mode) {
-  return mode != LoopMode::kCycleAccurate;
 }
 
 /// Reusable per-thread arena for the multiprogrammed loops (sized once per
@@ -107,12 +109,6 @@ RunnerScratch& runner_scratch() {
   // thread_local: SweepRunner drives these loops from a worker pool.
   thread_local RunnerScratch s;
   return s;
-}
-
-[[noreturn]] void throw_mismatch(const std::string& what,
-                                 const std::string& diff) {
-  throw std::runtime_error("FGNVM_PARANOID: event-skip run of " + what +
-                           " diverged from the cycle-accurate loop: " + diff);
 }
 
 // ------------------------------------------------------------ diff helpers
@@ -185,10 +181,10 @@ class Differ {
 // ------------------------------------------------------------ loop bodies
 
 RunResult run_workload_loop(trace::RecordSource& source,
-                            const SystemFactory& make_system,
+                            const SystemSpec& spec,
                             const cpu::CpuParams& cpu_params,
                             Cycle max_mem_cycles, bool skip) {
-  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system();
+  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system(spec);
   sys::MemorySystem& mem = *mem_ptr;
   if (!skip) mem.set_eager_ticking(true);
   source.reset();  // paranoid double-runs replay the same stream
@@ -197,6 +193,7 @@ RunResult run_workload_loop(trace::RecordSource& source,
     o->set_instruction_source([&core] { return core.instructions_retired(); });
   }
   const bool windows = skip && mem.lazy_scheduling();
+  const obs::Observer* const observer = mem.observer();
   std::vector<mem::MemRequest> done;
 
   Cycle t = 0;
@@ -241,7 +238,6 @@ RunResult run_workload_loop(trace::RecordSource& source,
             std::min(horizon, max_mem_cycles) > next) {
           next = std::min(horizon, max_mem_cycles);
           mem.advance_channels_to(next);
-          if (!core.finished()) core.advance_to(t + 1, next);
           advanced = true;
         }
       }
@@ -252,9 +248,13 @@ RunResult run_workload_loop(trace::RecordSource& source,
         }
         if (event > next && event != kNeverCycle) {
           next = std::min(event, max_mem_cycles);
-          if (!core.finished()) core.advance_to(t + 1, next);
         }
       }
+      // An observer turns windows off, and its next sample lies past t, so
+      // the cap keeps next > t while every epoch sample lands on the cycle
+      // the cycle-accurate loop samples.
+      if (observer != nullptr) next = std::min(next, observer->next_sample());
+      if (next > t + 1 && !core.finished()) core.advance_to(t + 1, next);
     }
     t = next;
   }
@@ -269,10 +269,9 @@ RunResult run_workload_loop(trace::RecordSource& source,
 }
 
 MultiProgramResult run_multiprogrammed_loop(
-    const std::vector<trace::RecordSource*>& sources,
-    const SystemFactory& make_system, const cpu::CpuParams& cpu_params,
-    Cycle max_mem_cycles, bool skip) {
-  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system();
+    const std::vector<trace::RecordSource*>& sources, const SystemSpec& spec,
+    const cpu::CpuParams& cpu_params, Cycle max_mem_cycles, bool skip) {
+  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system(spec);
   sys::MemorySystem& mem = *mem_ptr;
   if (!skip) mem.set_eager_ticking(true);
   std::vector<std::unique_ptr<cpu::RobCpu>> cores;
@@ -530,12 +529,13 @@ MultiProgramResult run_multiprogrammed_loop(
 }
 
 RunResult run_memory_only_loop(trace::RecordSource& source,
-                               const SystemFactory& make_system,
-                               Cycle max_mem_cycles, bool skip) {
-  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system();
+                               const SystemSpec& spec, Cycle max_mem_cycles,
+                               bool skip) {
+  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system(spec);
   sys::MemorySystem& mem = *mem_ptr;
   if (!skip) mem.set_eager_ticking(true);
   const bool windows = skip && mem.lazy_scheduling();
+  const obs::Observer* const observer = mem.observer();
   source.reset();
   trace::TraceRecord rec;
   bool pending = source.next(rec);
@@ -581,6 +581,10 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
           if (event > next && event != kNeverCycle) {
             next = std::min(event, max_mem_cycles);
           }
+        }
+        // As in run_workload_loop: no skip passes an epoch sample.
+        if (observer != nullptr) {
+          next = std::min(next, observer->next_sample());
         }
       }
     }
@@ -652,72 +656,12 @@ std::string diff_results(const MultiProgramResult& a,
   return d.diff();
 }
 
-// ------------------------------------------------------------ entry points
-
-namespace {
-
-SystemFactory plain_factory(const sys::SystemConfig& sys_cfg) {
-  return [&sys_cfg] { return std::make_unique<sys::MemorySystem>(sys_cfg); };
-}
-
-SystemFactory hybrid_factory(const sys::HybridSystemConfig& sys_cfg) {
-  return [&sys_cfg] {
-    return std::make_unique<sys::HybridMemorySystem>(sys_cfg);
-  };
-}
-
-RunResult run_workload_impl(trace::RecordSource& source,
-                            const SystemFactory& make_system,
-                            const std::string& label,
-                            const cpu::CpuParams& cpu_params,
-                            Cycle max_mem_cycles, LoopMode mode) {
-  RunResult r = run_workload_loop(source, make_system, cpu_params,
-                                  max_mem_cycles, event_skip(mode));
-  if (mode == LoopMode::kAuto && sched::detail::paranoid_env()) {
-    const RunResult ref = run_workload_loop(source, make_system, cpu_params,
-                                            max_mem_cycles, /*skip=*/false);
-    const std::string diff = diff_results(ref, r);
-    if (!diff.empty()) {
-      throw_mismatch(source.name() + " / " + label, diff);
-    }
-  }
-  return r;
-}
-
-}  // namespace
-
-RunResult run_workload(const trace::Trace& trace,
-                       const sys::SystemConfig& sys_cfg,
-                       const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
-                       LoopMode mode) {
-  trace::TraceSource source(trace);
-  return run_workload_impl(source, plain_factory(sys_cfg), sys_cfg.name,
-                           cpu_params, max_mem_cycles, mode);
-}
-
-RunResult run_workload(const trace::Trace& trace,
-                       const sys::HybridSystemConfig& sys_cfg,
-                       const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
-                       LoopMode mode) {
-  trace::TraceSource source(trace);
-  return run_workload_impl(source, hybrid_factory(sys_cfg), sys_cfg.nvm.name,
-                           cpu_params, max_mem_cycles, mode);
-}
-
-RunResult run_workload(trace::RecordSource& source,
-                       const sys::SystemConfig& sys_cfg,
-                       const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
-                       LoopMode mode) {
-  return run_workload_impl(source, plain_factory(sys_cfg), sys_cfg.name,
-                           cpu_params, max_mem_cycles, mode);
-}
-
-RunResult run_workload(trace::RecordSource& source,
-                       const sys::HybridSystemConfig& sys_cfg,
-                       const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
-                       LoopMode mode) {
-  return run_workload_impl(source, hybrid_factory(sys_cfg), sys_cfg.nvm.name,
-                           cpu_params, max_mem_cycles, mode);
+void fill_read_latency(RunResult& r) {
+  r.avg_read_latency = r.controller.distribution("read_latency").mean();
+  const Histogram& hist = r.controller.histogram("read_latency_hist");
+  r.p50_read_latency = hist.percentile(0.50);
+  r.p95_read_latency = hist.percentile(0.95);
+  r.p99_read_latency = hist.percentile(0.99);
 }
 
 double MultiProgramResult::weighted_speedup(
@@ -775,54 +719,22 @@ double MultiProgramResult::harmonic_speedup(
   return sum > 0 ? static_cast<double>(counted) / sum : 0.0;
 }
 
+// ------------------------------------------------------------ entry points
+
 namespace {
 
-MultiProgramResult run_multiprogrammed_impl(
-    const std::vector<trace::RecordSource*>& sources,
-    const SystemFactory& make_system, const std::string& label,
-    const cpu::CpuParams& cpu_params, Cycle max_mem_cycles, LoopMode mode) {
-  if (sources.empty()) {
-    throw std::invalid_argument("run_multiprogrammed: no traces");
-  }
-  MultiProgramResult r = run_multiprogrammed_loop(
-      sources, make_system, cpu_params, max_mem_cycles, event_skip(mode));
+/// Runs `loop(skip)` once, skipping events unless `mode` asks for cycle
+/// accuracy. Under kAuto with FGNVM_PARANOID set, runs it again as the
+/// cycle-accurate reference and throws on any stat difference.
+template <typename Loop>
+auto checked_run(const Loop& loop, LoopMode mode, const std::string& label) {
+  auto r = loop(mode != LoopMode::kCycleAccurate);
   if (mode == LoopMode::kAuto && sched::detail::paranoid_env()) {
-    const MultiProgramResult ref = run_multiprogrammed_loop(
-        sources, make_system, cpu_params, max_mem_cycles, /*skip=*/false);
-    const std::string diff = diff_results(ref, r);
+    const std::string diff = diff_results(loop(/*skip=*/false), r);
     if (!diff.empty()) {
-      throw_mismatch("multiprogram / " + label, diff);
-    }
-  }
-  return r;
-}
-
-MultiProgramResult run_multiprogrammed_traces_impl(
-    const std::vector<trace::Trace>& traces, const SystemFactory& make_system,
-    const std::string& label, const cpu::CpuParams& cpu_params,
-    Cycle max_mem_cycles, LoopMode mode) {
-  std::vector<trace::TraceSource> cursors;
-  cursors.reserve(traces.size());
-  for (const trace::Trace& t : traces) cursors.emplace_back(t);
-  std::vector<trace::RecordSource*> sources;
-  sources.reserve(cursors.size());
-  for (trace::TraceSource& c : cursors) sources.push_back(&c);
-  return run_multiprogrammed_impl(sources, make_system, label, cpu_params,
-                                  max_mem_cycles, mode);
-}
-
-RunResult run_memory_only_impl(trace::RecordSource& source,
-                               const SystemFactory& make_system,
-                               const std::string& label, Cycle max_mem_cycles,
-                               LoopMode mode) {
-  RunResult r = run_memory_only_loop(source, make_system, max_mem_cycles,
-                                     event_skip(mode));
-  if (mode == LoopMode::kAuto && sched::detail::paranoid_env()) {
-    const RunResult ref = run_memory_only_loop(source, make_system,
-                                               max_mem_cycles, /*skip=*/false);
-    const std::string diff = diff_results(ref, r);
-    if (!diff.empty()) {
-      throw_mismatch(source.name() + " / " + label + " (memory-only)", diff);
+      throw std::runtime_error("FGNVM_PARANOID: event-skip run of " + label +
+                               " diverged from the cycle-accurate loop: " +
+                               diff);
     }
   }
   return r;
@@ -830,70 +742,64 @@ RunResult run_memory_only_impl(trace::RecordSource& source,
 
 }  // namespace
 
-MultiProgramResult run_multiprogrammed(const std::vector<trace::Trace>& traces,
-                                       const sys::SystemConfig& sys_cfg,
-                                       const cpu::CpuParams& cpu_params,
-                                       Cycle max_mem_cycles, LoopMode mode) {
-  return run_multiprogrammed_traces_impl(traces, plain_factory(sys_cfg),
-                                         sys_cfg.name, cpu_params,
-                                         max_mem_cycles, mode);
+RunResult run_workload(trace::RecordSource& source, const SystemSpec& spec,
+                       const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
+                       LoopMode mode) {
+  return checked_run(
+      [&](bool skip) {
+        return run_workload_loop(source, spec, cpu_params, max_mem_cycles,
+                                 skip);
+      },
+      mode, source.name() + " / " + system_name(spec));
 }
 
-MultiProgramResult run_multiprogrammed(const std::vector<trace::Trace>& traces,
-                                       const sys::HybridSystemConfig& sys_cfg,
-                                       const cpu::CpuParams& cpu_params,
-                                       Cycle max_mem_cycles, LoopMode mode) {
-  return run_multiprogrammed_traces_impl(traces, hybrid_factory(sys_cfg),
-                                         sys_cfg.nvm.name, cpu_params,
-                                         max_mem_cycles, mode);
+RunResult run_workload(const trace::Trace& trace, const SystemSpec& spec,
+                       const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
+                       LoopMode mode) {
+  trace::TraceSource source(trace);
+  return run_workload(source, spec, cpu_params, max_mem_cycles, mode);
+}
+
+RunResult run_memory_only(trace::RecordSource& source, const SystemSpec& spec,
+                          Cycle max_mem_cycles, LoopMode mode) {
+  return checked_run(
+      [&](bool skip) {
+        return run_memory_only_loop(source, spec, max_mem_cycles, skip);
+      },
+      mode, source.name() + " / " + system_name(spec) + " (memory-only)");
+}
+
+RunResult run_memory_only(const trace::Trace& trace, const SystemSpec& spec,
+                          Cycle max_mem_cycles, LoopMode mode) {
+  trace::TraceSource source(trace);
+  return run_memory_only(source, spec, max_mem_cycles, mode);
 }
 
 MultiProgramResult run_multiprogrammed(
-    const std::vector<trace::RecordSource*>& sources,
-    const sys::SystemConfig& sys_cfg, const cpu::CpuParams& cpu_params,
-    Cycle max_mem_cycles, LoopMode mode) {
-  return run_multiprogrammed_impl(sources, plain_factory(sys_cfg),
-                                  sys_cfg.name, cpu_params, max_mem_cycles,
-                                  mode);
+    const std::vector<trace::RecordSource*>& sources, const SystemSpec& spec,
+    const cpu::CpuParams& cpu_params, Cycle max_mem_cycles, LoopMode mode) {
+  if (sources.empty()) {
+    throw std::invalid_argument("run_multiprogrammed: no traces");
+  }
+  return checked_run(
+      [&](bool skip) {
+        return run_multiprogrammed_loop(sources, spec, cpu_params,
+                                        max_mem_cycles, skip);
+      },
+      mode, "multiprogram / " + system_name(spec));
 }
 
-MultiProgramResult run_multiprogrammed(
-    const std::vector<trace::RecordSource*>& sources,
-    const sys::HybridSystemConfig& sys_cfg, const cpu::CpuParams& cpu_params,
-    Cycle max_mem_cycles, LoopMode mode) {
-  return run_multiprogrammed_impl(sources, hybrid_factory(sys_cfg),
-                                  sys_cfg.nvm.name, cpu_params,
-                                  max_mem_cycles, mode);
-}
-
-RunResult run_memory_only(const trace::Trace& trace,
-                          const sys::SystemConfig& sys_cfg,
-                          Cycle max_mem_cycles, LoopMode mode) {
-  trace::TraceSource source(trace);
-  return run_memory_only_impl(source, plain_factory(sys_cfg), sys_cfg.name,
-                              max_mem_cycles, mode);
-}
-
-RunResult run_memory_only(const trace::Trace& trace,
-                          const sys::HybridSystemConfig& sys_cfg,
-                          Cycle max_mem_cycles, LoopMode mode) {
-  trace::TraceSource source(trace);
-  return run_memory_only_impl(source, hybrid_factory(sys_cfg),
-                              sys_cfg.nvm.name, max_mem_cycles, mode);
-}
-
-RunResult run_memory_only(trace::RecordSource& source,
-                          const sys::SystemConfig& sys_cfg,
-                          Cycle max_mem_cycles, LoopMode mode) {
-  return run_memory_only_impl(source, plain_factory(sys_cfg), sys_cfg.name,
-                              max_mem_cycles, mode);
-}
-
-RunResult run_memory_only(trace::RecordSource& source,
-                          const sys::HybridSystemConfig& sys_cfg,
-                          Cycle max_mem_cycles, LoopMode mode) {
-  return run_memory_only_impl(source, hybrid_factory(sys_cfg),
-                              sys_cfg.nvm.name, max_mem_cycles, mode);
+MultiProgramResult run_multiprogrammed(const std::vector<trace::Trace>& traces,
+                                       const SystemSpec& spec,
+                                       const cpu::CpuParams& cpu_params,
+                                       Cycle max_mem_cycles, LoopMode mode) {
+  std::vector<trace::TraceSource> cursors;
+  cursors.reserve(traces.size());
+  for (const trace::Trace& t : traces) cursors.emplace_back(t);
+  std::vector<trace::RecordSource*> sources;
+  sources.reserve(cursors.size());
+  for (trace::TraceSource& c : cursors) sources.push_back(&c);
+  return run_multiprogrammed(sources, spec, cpu_params, max_mem_cycles, mode);
 }
 
 }  // namespace fgnvm::sim

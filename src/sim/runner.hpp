@@ -1,10 +1,14 @@
-// Experiment runner: executes one (trace, memory configuration) pair to
+// Experiment runner: executes one (trace, memory system) pair to
 // completion and collects the numbers the paper's figures are built from.
+// There is one entry per run kind (full system, memory-only,
+// multiprogrammed), each taking a SystemSpec; the plain and hybrid memory
+// systems share every loop and the paranoid cross-check.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -56,32 +60,24 @@ struct RunResult {
   double energy_per_op_pj() const;
 };
 
-/// Full-system run: ROB CPU in front of the memory system. Throws
-/// std::runtime_error if the simulation exceeds `max_mem_cycles`
-/// (deadlock guard).
-RunResult run_workload(const trace::Trace& trace, const sys::SystemConfig& sys_cfg,
-                       const cpu::CpuParams& cpu_params = {},
-                       Cycle max_mem_cycles = 500'000'000,
-                       LoopMode mode = LoopMode::kAuto);
+/// The memory system a run drives: the channel array of one bank kind
+/// (FgNVM or DRAM), or the RBLA hybrid of a DRAM partition in front of an
+/// FgNVM backend (DESIGN.md §13). Both config types convert implicitly, so
+/// callers pass either one where a SystemSpec is expected.
+using SystemSpec = std::variant<sys::SystemConfig, sys::HybridSystemConfig>;
 
-/// Hybrid-system variant: same loops and paranoid cross-check, driving a
-/// sys::HybridMemorySystem (DESIGN.md §13) through the virtual API.
-RunResult run_workload(const trace::Trace& trace,
-                       const sys::HybridSystemConfig& sys_cfg,
-                       const cpu::CpuParams& cpu_params = {},
-                       Cycle max_mem_cycles = 500'000'000,
-                       LoopMode mode = LoopMode::kAuto);
+// One entry per run kind takes a trace::RecordSource (a streamed FGS1
+// trace, a cursor over a shared Trace, ...); each has a thin Trace wrapper.
+// Sources are reset() before every loop run, so a paranoid double-run
+// replays the identical stream. Every run throws std::runtime_error if it
+// exceeds `max_mem_cycles` (deadlock guard).
 
-/// Record-source variant: feeds the core from any RecordSource (a streamed
-/// FGS1 trace, a shared-Trace cursor, ...). The source is reset() before
-/// each loop run, so paranoid double-runs replay the identical stream.
-RunResult run_workload(trace::RecordSource& source,
-                       const sys::SystemConfig& sys_cfg,
+/// Full-system run: ROB CPU in front of the memory system.
+RunResult run_workload(trace::RecordSource& source, const SystemSpec& spec,
                        const cpu::CpuParams& cpu_params = {},
                        Cycle max_mem_cycles = 500'000'000,
                        LoopMode mode = LoopMode::kAuto);
-RunResult run_workload(trace::RecordSource& source,
-                       const sys::HybridSystemConfig& sys_cfg,
+RunResult run_workload(const trace::Trace& trace, const SystemSpec& spec,
                        const cpu::CpuParams& cpu_params = {},
                        Cycle max_mem_cycles = 500'000'000,
                        LoopMode mode = LoopMode::kAuto);
@@ -89,16 +85,16 @@ RunResult run_workload(trace::RecordSource& source,
 /// Memory-only closed-loop run: submits the trace as fast as backpressure
 /// allows. Measures achievable bandwidth and service latency without a core
 /// model. `instructions` and `ipc` are zero in the result.
-RunResult run_memory_only(const trace::Trace& trace,
-                          const sys::SystemConfig& sys_cfg,
+RunResult run_memory_only(trace::RecordSource& source, const SystemSpec& spec,
+                          Cycle max_mem_cycles = 500'000'000,
+                          LoopMode mode = LoopMode::kAuto);
+RunResult run_memory_only(const trace::Trace& trace, const SystemSpec& spec,
                           Cycle max_mem_cycles = 500'000'000,
                           LoopMode mode = LoopMode::kAuto);
 
-/// Hybrid-system variant of run_memory_only.
-RunResult run_memory_only(const trace::Trace& trace,
-                          const sys::HybridSystemConfig& sys_cfg,
-                          Cycle max_mem_cycles = 500'000'000,
-                          LoopMode mode = LoopMode::kAuto);
+/// Fills the avg/p50/p95/p99 read latencies of `r` from the read_latency
+/// distribution and histogram of its merged `controller` stats.
+void fill_read_latency(RunResult& r);
 
 /// Describes the first difference between two runs of the same experiment,
 /// or returns the empty string when every stat matches exactly: cycle
@@ -135,51 +131,25 @@ struct MultiProgramResult {
 };
 
 /// Runs one trace per core against a shared memory system. Cores that
-/// finish early idle while the rest complete.
-MultiProgramResult run_multiprogrammed(
-    const std::vector<trace::Trace>& traces, const sys::SystemConfig& sys_cfg,
-    const cpu::CpuParams& cpu_params = {},
-    Cycle max_mem_cycles = 500'000'000, LoopMode mode = LoopMode::kAuto);
-
-/// Hybrid-system variant of run_multiprogrammed. Core indices never collide
-/// with migration traffic: injected requests carry
-/// sys::HybridMemorySystem::kMigrationTag and are filtered before routing.
-MultiProgramResult run_multiprogrammed(
-    const std::vector<trace::Trace>& traces,
-    const sys::HybridSystemConfig& sys_cfg,
-    const cpu::CpuParams& cpu_params = {},
-    Cycle max_mem_cycles = 500'000'000, LoopMode mode = LoopMode::kAuto);
-
-/// Record-source variant of run_multiprogrammed: one source per core.
-/// Sources must be non-null, outlive the call, and are reset() before each
-/// loop run (so several cores may NOT share one source object — use one
+/// finish early idle while the rest complete. One source per core: sources
+/// must be non-null and outlive the call, and since each is reset() before
+/// every loop run, several cores may NOT share one source object (use one
 /// TraceSource cursor per core over a shared Trace instead). This is the
 /// thousand-core entry point: per-core memory is the source's window, not
-/// the trace length.
+/// the trace length. On a hybrid system, injected migration requests carry
+/// sys::HybridMemorySystem::kMigrationTag and never reach a core.
 ///
 /// The skip loop's wake schedule is the indexed wake calendar
 /// (src/sim/wake_calendar.hpp); FGNVM_PARANOID cross-checks it against the
 /// cycle-accurate loop.
 MultiProgramResult run_multiprogrammed(
-    const std::vector<trace::RecordSource*>& sources,
-    const sys::SystemConfig& sys_cfg, const cpu::CpuParams& cpu_params = {},
-    Cycle max_mem_cycles = 500'000'000, LoopMode mode = LoopMode::kAuto);
-
-MultiProgramResult run_multiprogrammed(
-    const std::vector<trace::RecordSource*>& sources,
-    const sys::HybridSystemConfig& sys_cfg,
+    const std::vector<trace::RecordSource*>& sources, const SystemSpec& spec,
     const cpu::CpuParams& cpu_params = {},
     Cycle max_mem_cycles = 500'000'000, LoopMode mode = LoopMode::kAuto);
-
-/// Record-source variant of run_memory_only.
-RunResult run_memory_only(trace::RecordSource& source,
-                          const sys::SystemConfig& sys_cfg,
-                          Cycle max_mem_cycles = 500'000'000,
-                          LoopMode mode = LoopMode::kAuto);
-RunResult run_memory_only(trace::RecordSource& source,
-                          const sys::HybridSystemConfig& sys_cfg,
-                          Cycle max_mem_cycles = 500'000'000,
-                          LoopMode mode = LoopMode::kAuto);
+MultiProgramResult run_multiprogrammed(
+    const std::vector<trace::Trace>& traces, const SystemSpec& spec,
+    const cpu::CpuParams& cpu_params = {},
+    Cycle max_mem_cycles = 500'000'000, LoopMode mode = LoopMode::kAuto);
 
 /// diff_results for multi-programmed runs.
 std::string diff_results(const MultiProgramResult& a,

@@ -312,11 +312,7 @@ sim::RunResult Topology::finish(const std::string& workload) {
       r.controller.merge(c.ctrl->stats());
     }
   }
-  r.avg_read_latency = r.controller.distribution("read_latency").mean();
-  const Histogram& hist = r.controller.histogram("read_latency_hist");
-  r.p50_read_latency = hist.percentile(0.50);
-  r.p95_read_latency = hist.percentile(0.95);
-  r.p99_read_latency = hist.percentile(0.99);
+  sim::fill_read_latency(r);
   return r;
 }
 

@@ -7,6 +7,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "mem/geometry.hpp"
 #include "mem/timing.hpp"
@@ -151,7 +152,7 @@ class ObsFixture {
     geo_.num_sags = 2;
     geo_.num_cds = 2;
     decoder_ = std::make_unique<mem::AddressDecoder>(geo_);
-    ctrl_ = std::make_unique<sched::Controller>(
+    ctrl_ = std::make_unique<sched::ControllerT<nvm::FgNvmBank>>(
         geo_, timing_, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
           return std::make_unique<nvm::FgNvmBank>(geo_, timing_, modes);
         });
@@ -218,7 +219,7 @@ class ObsFixture {
   mem::TimingParams timing_;
   ChannelCollector collector_;
   std::unique_ptr<mem::AddressDecoder> decoder_;
-  std::unique_ptr<sched::Controller> ctrl_;
+  std::unique_ptr<sched::ControllerT<nvm::FgNvmBank>> ctrl_;
   std::vector<mem::MemRequest> completed_;
   Cycle now_ = 0;
 };
@@ -416,11 +417,14 @@ TEST(ObsEndToEndTest, RunnerExportsObserver) {
                                static_cast<double>(sc.timing.tCAS +
                                                    sc.timing.tBURST));
 
-  // Time-series: epoch-aligned-or-later samples, strictly increasing.
+  // Time-series: one sample on every epoch boundary, strictly increasing.
   const auto& samples = r.obs->series().samples();
   ASSERT_FALSE(samples.empty());
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GT(samples[i].cycle, samples[i - 1].cycle);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].cycle % cfg.obs.epoch, 0u) << "sample " << i;
+    if (i > 0) {
+      EXPECT_GT(samples[i].cycle, samples[i - 1].cycle);
+    }
   }
 
   // Exports: JSON mentions every cause; CSVs are well-formed and the
@@ -439,6 +443,57 @@ TEST(ObsEndToEndTest, RunnerExportsObserver) {
                                             '\n'));
   EXPECT_EQ(rows, completed + 1);  // header + one row per record
 }
+
+// No skip of the event-skipping loops may pass an epoch sample: with an
+// observer attached, every run kind must sample the same cycles (and see
+// the same queue state there) as the cycle-accurate loop.
+class ObsLoopTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  static void expect_same_series(const obs::Observer* skip,
+                                 const obs::Observer* eager) {
+    ASSERT_NE(skip, nullptr);
+    ASSERT_NE(eager, nullptr);
+    EXPECT_GT(eager->series().samples().size(), 8u);
+    EXPECT_TRUE(skip->series() == eager->series())
+        << "event-skip:\n" << skip->series().to_csv()
+        << "cycle-accurate:\n" << eager->series().to_csv();
+  }
+
+  const trace::Trace trace_ =
+      trace::generate_trace(trace::spec2006_profile(GetParam()), 3000);
+  const sys::SystemConfig cfg_ = obs_system_config();
+};
+
+TEST_P(ObsLoopTest, WorkloadSeriesMatchesCycleAccurate) {
+  const sim::RunResult skip = sim::run_workload(
+      trace_, cfg_, {}, 500'000'000, sim::LoopMode::kEventSkip);
+  const sim::RunResult eager = sim::run_workload(
+      trace_, cfg_, {}, 500'000'000, sim::LoopMode::kCycleAccurate);
+  expect_same_series(skip.obs.get(), eager.obs.get());
+}
+
+TEST_P(ObsLoopTest, MemoryOnlySeriesMatchesCycleAccurate) {
+  const sim::RunResult skip = sim::run_memory_only(
+      trace_, cfg_, 500'000'000, sim::LoopMode::kEventSkip);
+  const sim::RunResult eager = sim::run_memory_only(
+      trace_, cfg_, 500'000'000, sim::LoopMode::kCycleAccurate);
+  expect_same_series(skip.obs.get(), eager.obs.get());
+}
+
+TEST_P(ObsLoopTest, MultiprogrammedSeriesMatchesCycleAccurate) {
+  const std::vector<trace::Trace> traces{trace_, trace_};
+  const sim::MultiProgramResult skip = sim::run_multiprogrammed(
+      traces, cfg_, {}, 500'000'000, sim::LoopMode::kEventSkip);
+  const sim::MultiProgramResult eager = sim::run_multiprogrammed(
+      traces, cfg_, {}, 500'000'000, sim::LoopMode::kCycleAccurate);
+  expect_same_series(skip.obs.get(), eager.obs.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, ObsLoopTest,
+                         ::testing::Values("milc", "mcf"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(ObsEndToEndTest, DisabledByDefault) {
   const trace::Trace tr =

@@ -69,7 +69,7 @@ class IndexedScheduler {
     cfg.bg_write_min = 2;
     cfg.bg_write_inflight_max = 3;
     decoder_ = std::make_unique<mem::AddressDecoder>(geo_);
-    ctrl_ = std::make_unique<Controller>(
+    ctrl_ = std::make_unique<ControllerT<nvm::FgNvmBank>>(
         geo_, timing_, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
           return std::make_unique<nvm::FgNvmBank>(geo_, timing_,
                                                   nvm::AccessModes::all_on());
@@ -133,7 +133,7 @@ class IndexedScheduler {
   mem::MemGeometry geo_;
   mem::TimingParams timing_;
   std::unique_ptr<mem::AddressDecoder> decoder_;
-  std::unique_ptr<Controller> ctrl_;
+  std::unique_ptr<ControllerT<nvm::FgNvmBank>> ctrl_;
 };
 
 class SchedIndexTest : public ::testing::TestWithParam<Scenario> {};

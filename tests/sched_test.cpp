@@ -86,7 +86,7 @@ class ControllerFixture {
     geo_.num_sags = sags;
     geo_.num_cds = cds;
     decoder_ = std::make_unique<mem::AddressDecoder>(geo_);
-    ctrl_ = std::make_unique<Controller>(
+    ctrl_ = std::make_unique<ControllerT<nvm::FgNvmBank>>(
         geo_, timing_, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
           return std::make_unique<nvm::FgNvmBank>(geo_, timing_, modes);
         });
@@ -129,7 +129,7 @@ class ControllerFixture {
   mem::MemGeometry geo_;
   mem::TimingParams timing_;
   std::unique_ptr<mem::AddressDecoder> decoder_;
-  std::unique_ptr<Controller> ctrl_;
+  std::unique_ptr<ControllerT<nvm::FgNvmBank>> ctrl_;
   std::vector<mem::MemRequest> completed_;
   Cycle now_ = 0;
 };
