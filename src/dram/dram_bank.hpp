@@ -55,17 +55,31 @@ class DramBank final : public nvm::Bank {
     return subs_[sag].open_row == row;
   }
   Cycle earliest_column_key(std::uint64_t sag, std::uint64_t /*line_mask*/,
-                            OpType /*op*/, Cycle now) const {
+                            OpType op, Cycle now) const {
+    return column_base_key(sag, op, now);
+  }
+  Cycle earliest_activate_key(std::uint64_t sag, std::uint64_t row,
+                              std::uint64_t line_mask, std::uint64_t extra_cds,
+                              nvm::ActPurpose p, Cycle now) const {
+    return activate_sag_key(sag, row, line_mask, extra_cds, p, now);
+  }
+  // Floor / SAG-key split of the keyed probes (see FgNvmBank). This bank's
+  // candidates are recomputed at every query (pure_timing() is false), so
+  // nothing caches SAG keys and every term, tCCD and refresh included,
+  // lives in the SAG key: the floors are 0.
+  Cycle column_floor() const { return 0; }
+  Cycle activate_floor() const { return 0; }
+  Cycle column_sag_key(std::uint64_t sag, OpType /*op*/, Cycle now) const {
     const Subarray& s = subs_[sag];
     Cycle t = refresh_clear(now);
     t = std::max(t, s.act_done);
     if (any_col_issued_) t = std::max(t, last_col_ + timing_.tCCD);
     return t;
   }
-  Cycle earliest_activate_key(std::uint64_t sag, std::uint64_t row,
-                              std::uint64_t /*line_mask*/,
-                              std::uint64_t /*extra_cds*/,
-                              nvm::ActPurpose /*p*/, Cycle now) const {
+  Cycle activate_sag_key(std::uint64_t sag, std::uint64_t row,
+                         std::uint64_t /*line_mask*/,
+                         std::uint64_t /*extra_cds*/, nvm::ActPurpose /*p*/,
+                         Cycle now) const {
     const Subarray& s = subs_[sag];
     Cycle t = refresh_clear(now);
     if (s.open_row != kInvalidAddr && s.open_row != row) {
@@ -73,10 +87,16 @@ class DramBank final : public nvm::Bank {
     }
     return std::max({t, s.act_done, s.pre_done});
   }
+  /// An ACT senses the whole row, i.e. the one CD, unless the row is open.
+  std::uint64_t activate_cds(std::uint64_t sag, std::uint64_t row,
+                             std::uint64_t /*line_mask*/,
+                             std::uint64_t /*extra_cds*/) const {
+    return subs_[sag].open_row == row ? 0 : 1;
+  }
   // DRAM column timing has no per-member (CD) component, so the decomposed
   // probe is the base alone.
   Cycle column_base_key(std::uint64_t sag, OpType op, Cycle now) const {
-    return earliest_column_key(sag, 0, op, now);
+    return column_sag_key(sag, op, now);
   }
   Cycle column_fold_key(std::uint64_t /*line_mask*/, OpType /*op*/,
                         Cycle base) const {

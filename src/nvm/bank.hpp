@@ -8,9 +8,9 @@
 // The interface is virtual for ownership and the cold per-bank queries
 // (stats, energy, obs sampling). The scheduler's hot scans instead call the
 // keyed probes (segments_sensed_key, earliest_column_key,
-// earliest_activate_key, column_base_key, column_fold_key — DESIGN.md §12)
-// that each concrete final bank defines inline, through
-// sched::ControllerT<ConcreteBank>.
+// earliest_activate_key, column_base_key, column_fold_key — DESIGN.md §12,
+// and their bank-floor / SAG-key split — DESIGN.md §8) that each concrete
+// final bank defines inline, through sched::ControllerT<ConcreteBank>.
 #pragma once
 
 #include <cstdint>

@@ -30,6 +30,11 @@ void FgNvmBank::issue_activate(const mem::DecodedAddr& a, ActPurpose p,
                                Cycle at, std::uint64_t extra_cds) {
   assert(at >= earliest_activate(a, p, at, extra_cds));
   SagState& s = sags_[a.sag];
+  // Read ACTs sense the needed CDs the open row lacks (all of them on a row
+  // switch); taken before the switch resets the sensed mask.
+  const std::uint64_t cds =
+      p == ActPurpose::kRead ? activate_cds(a.sag, a.row, line_cds(a), extra_cds)
+                             : 0;
 
   const bool same_row = (s.open_row == a.row);
   if (!same_row) {
@@ -44,7 +49,6 @@ void FgNvmBank::issue_activate(const mem::DecodedAddr& a, ActPurpose p,
   if (!modes_.multi_activation) global_act_lock_ = std::max(global_act_lock_, done);
 
   if (p == ActPurpose::kRead) {
-    std::uint64_t cds = needed_cds(a, extra_cds) & ~s.sensed;
     std::uint64_t nsegs = 0;
     for (std::uint64_t cd = 0, m = cds; m != 0; ++cd, m >>= 1) {
       if (m & 1) {

@@ -56,21 +56,57 @@ class FgNvmBank final : public Bank {
                             OpType op, Cycle now) const;
   Cycle earliest_activate_key(std::uint64_t sag, std::uint64_t row,
                               std::uint64_t line_mask, std::uint64_t extra_cds,
-                              ActPurpose p, Cycle now) const;
+                              ActPurpose p, Cycle now) const {
+    return std::max(activate_floor(),
+                    activate_sag_key(sag, row, line_mask, extra_cds, p, now));
+  }
+
+  // Every keyed probe is max(bank floor, SAG-local key) (DESIGN.md §8). The
+  // floors hold the bank-wide terms, which never decrease: the column floor
+  // is the non-background write lock and the tCCD window, the ACT floor the
+  // same write lock plus the bank-wide sensing lock when Multi-Activation is
+  // off. The SAG-local keys hold the rest: the SAG's own locks and the locks
+  // of the CDs the command touches. The scheduler caches SAG keys per
+  // (bank, SAG) group and applies the floors when it reads them, so a
+  // command that moves only a floor leaves the other groups' entries valid.
+  Cycle column_floor() const {
+    return any_col_issued_ ? std::max(bank_lock_, last_col_ + timing_.tCCD)
+                           : bank_lock_;
+  }
+  Cycle activate_floor() const {
+    return modes_.multi_activation ? bank_lock_
+                                   : std::max(bank_lock_, global_act_lock_);
+  }
+  Cycle activate_sag_key(std::uint64_t sag, std::uint64_t row,
+                         std::uint64_t line_mask, std::uint64_t extra_cds,
+                         ActPurpose p, Cycle now) const;
+  /// CDs a read ACT of `row` in `sag` newly senses (and sense-locks): the
+  /// needed CDs, minus those already sensed when the row is open.
+  std::uint64_t activate_cds(std::uint64_t sag, std::uint64_t row,
+                             std::uint64_t line_mask,
+                             std::uint64_t extra_cds) const {
+    const SagState& s = sags_[sag];
+    std::uint64_t cds = modes_.partial_activation
+                            ? (line_mask | extra_cds) & all_cds_mask_
+                            : all_cds_mask_;
+    if (s.open_row == row) cds &= ~s.sensed;
+    return cds;
+  }
 
   // Decomposed column probe for batched same-SAG scans: column_base_key is
-  // the member-independent part (bank/SAG locks, tCCD, sense latch), shared
-  // by every member of a (bank, SAG) group; column_fold_key folds one
-  // member's CD locks on top. For any member,
+  // the member-independent part (floor, SAG lock, sense latch), shared by
+  // every member of a (bank, SAG) group; column_fold_key folds one member's
+  // CD locks on top. For any member,
   //   earliest_column_key(sag, m, op, now)
   //     == column_fold_key(m, op, column_base_key(sag, op, now)).
-  Cycle column_base_key(std::uint64_t sag, OpType op, Cycle now) const {
+  Cycle column_sag_key(std::uint64_t sag, OpType op, Cycle now) const {
     const SagState& s = sags_[sag];
-    Cycle t = std::max(now, bank_lock_);
-    if (any_col_issued_) t = std::max(t, last_col_ + timing_.tCCD);
-    t = std::max(t, s.lock_until);
+    Cycle t = std::max(now, s.lock_until);
     if (op == OpType::kRead) t = std::max(t, s.sense_ready);
     return t;
+  }
+  Cycle column_base_key(std::uint64_t sag, OpType op, Cycle now) const {
+    return std::max(column_floor(), column_sag_key(sag, op, now));
   }
   Cycle column_fold_key(std::uint64_t line_mask, OpType op, Cycle base) const {
     std::uint64_t cds = line_mask;
@@ -178,23 +214,15 @@ inline bool FgNvmBank::row_open(const mem::DecodedAddr& a) const {
   return sags_[a.sag].open_row == a.row;
 }
 
-inline Cycle FgNvmBank::earliest_activate_key(std::uint64_t sag,
-                                              std::uint64_t row,
-                                              std::uint64_t line_mask,
-                                              std::uint64_t extra_cds,
-                                              ActPurpose p, Cycle now) const {
-  const SagState& s = sags_[sag];
-  Cycle t = std::max(now, bank_lock_);
-  t = std::max(t, s.lock_until);
-  if (!modes_.multi_activation) t = std::max(t, global_act_lock_);
+inline Cycle FgNvmBank::activate_sag_key(std::uint64_t sag, std::uint64_t row,
+                                         std::uint64_t line_mask,
+                                         std::uint64_t extra_cds, ActPurpose p,
+                                         Cycle now) const {
+  Cycle t = std::max(now, sags_[sag].lock_until);
   if (p == ActPurpose::kRead) {
-    // Sensing occupies the local bitline path of each needed CD; it cannot
-    // overlap other sensing or write driving in the same CD.
-    std::uint64_t cds = modes_.partial_activation
-                            ? (line_mask | extra_cds) & all_cds_mask_
-                            : all_cds_mask_;
-    // An ACT on the already-open row only needs to sense the missing CDs.
-    if (s.open_row == row) cds &= ~s.sensed;
+    // Sensing occupies the local bitline path of each newly sensed CD; it
+    // cannot overlap other sensing or write driving in the same CD.
+    std::uint64_t cds = activate_cds(sag, row, line_mask, extra_cds);
     while (cds != 0) {
       const int cd = std::countr_zero(cds);
       cds &= cds - 1;

@@ -18,10 +18,10 @@ bool paranoid_env() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-[[noreturn]] void throw_divergence(const char* what) {
+[[noreturn]] void throw_divergence(const std::string& what) {
   throw std::runtime_error(
       std::string("Controller cross-check: indexed ") + what +
-      " diverged from the reference full-queue scan");
+      " diverged from its reference");
 }
 
 }  // namespace detail

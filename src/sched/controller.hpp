@@ -16,8 +16,9 @@
 // Scheduling is index-driven (DESIGN.md §8): requests live in stable slots
 // threaded with per-(bank, SAG) and per-(bank, row) intrusive lists
 // (RequestIndex), issue selection walks only eligible group heads /
-// open-row lists, and next_event() serves cached per-bank candidates that
-// are recomputed only for banks whose state changed since the last query.
+// open-row lists, and next_event() serves cached per-(bank, SAG)-group
+// candidates that are recomputed only for groups a command, enqueue or bus
+// flag touched since the last query.
 // The pre-index full-queue scans are kept as a reference oracle: with
 // cross-checking on (FGNVM_PARANOID, or set_cross_check), every issue
 // decision and next_event value is recomputed both ways and compared.
@@ -33,9 +34,11 @@
 // controller_impl.hpp and are not pulled into user TUs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -100,7 +103,7 @@ namespace detail {
 /// FGNVM_PARANOID set, non-empty and not "0". The one parser of that
 /// variable; the runner, the controllers and the tile topology call it.
 bool paranoid_env();
-[[noreturn]] void throw_divergence(const char* what);
+[[noreturn]] void throw_divergence(const std::string& what);
 }  // namespace detail
 
 /// Type-erased controller facade: everything sys::MemorySystem needs to
@@ -247,10 +250,11 @@ class ControllerT final : public ControllerBase {
     std::int32_t slot = -1;
     bool activate = false;
   };
-  /// Cached per-bank next-event candidates (DESIGN.md §8). Minima are
-  /// computed with a query time of 0 for pure_timing() banks (so they are
-  /// valid at any later cycle, clamped at query time) and at the actual
-  /// querying cycle otherwise. Flagged/plain split the sticky bus_blocked
+  /// Per-bank next-event candidates (DESIGN.md §8): the fold of the bank's
+  /// group entries below with the bank floors applied. Minima are computed
+  /// with a query time of 0 for pure_timing() banks (so they are valid at
+  /// any later cycle, clamped at query time) and at the actual querying
+  /// cycle otherwise. Flagged/plain split the sticky bus_blocked
   /// populations: only flagged candidates fold in bus availability, which
   /// is a query-time global and therefore distributes over the min.
   struct BankCand {
@@ -261,27 +265,36 @@ class ControllerT final : public ControllerBase {
     Cycle write_flagged = kNeverCycle;
     Cycle write_bg_plain = kNeverCycle;    // guard folded per write
     Cycle write_bg_flagged = kNeverCycle;
+    bool operator==(const BankCand&) const = default;
   };
-  /// Per-(bank, SAG)-group slices of the same minima (DESIGN.md §12),
-  /// filled by the same recompute walk. The selectors gate each active
-  /// group on its cached minimum before touching the bank, so a scan pays
-  /// one load — not a row-hash probe plus timing probes — per not-yet-due
-  /// group. Entries follow the same validity rule as BankCand: exact for
-  /// pure_timing() banks whenever the bank is clean, and a group's entry
-  /// is refreshed before use because inserting into an empty group dirties
-  /// its bank. Read and write classes live in separate arrays since the
-  /// two recompute halves walk different active-group sets.
+  /// Per-(bank, SAG)-group minima of the bank's SAG-local probe keys, with
+  /// no bank floor in them (DESIGN.md §8, §12). A floor only ever rises and
+  /// max distributes over min, so max(floor, group min) is the exact group
+  /// candidate, and a command that moves only a floor leaves every entry
+  /// valid. Each entry also keeps the CDs its candidates wait on, which
+  /// decide whether a write or ACT elsewhere in the bank moved it.
+  /// The read and write halves are recomputed separately, only when their
+  /// dirty bit is set (kReadHalf / kWriteHalf in group_dirty_).
   struct GroupReadCand {
     Cycle col_plain = kNeverCycle;
     Cycle col_flagged = kNeverCycle;
-    Cycle act = kNeverCycle;
+    Cycle act = kNeverCycle;       // the head's ACT, if it is not sensed
+    std::uint64_t act_cds = 0;     // CDs that ACT would sense
+    std::uint64_t col_cds = 0;     // CDs of the sensed open-row reads
   };
+  /// Write ACTs and write columns sit behind different bank floors, so the
+  /// two stay apart until the floors are applied.
   struct GroupWriteCand {
-    Cycle plain = kNeverCycle;
-    Cycle flagged = kNeverCycle;
-    Cycle bg_plain = kNeverCycle;
-    Cycle bg_flagged = kNeverCycle;
+    Cycle act = kNeverCycle;       // the head's ACT, if off the open row
+    Cycle bg_act = kNeverCycle;    // ... as a background write (guarded)
+    Cycle col_plain = kNeverCycle;
+    Cycle col_flagged = kNeverCycle;
+    Cycle bg_col_plain = kNeverCycle;
+    Cycle bg_col_flagged = kNeverCycle;
+    std::uint64_t col_cds = 0;     // CDs of the open-row writes
   };
+  static constexpr std::uint8_t kReadHalf = 1;
+  static constexpr std::uint8_t kWriteHalf = 2;
   /// Lazily resolved stat handle: the counter is created on first bump so
   /// the stat-set shape stays identical to the string-keyed original (a
   /// counter that never fires must stay absent from reports).
@@ -299,11 +312,45 @@ class ControllerT final : public ControllerBase {
     if (!h.value) h.value = &stats_.counter_ref(name);
     *h.value += delta;
   }
-  void mark_bank_dirty(std::uint64_t bank) const {
-    bank_dirty_[bank] = 1;
+  /// Invalidates the given halves of group `g` and refolds its bank.
+  void mark_group(std::uint64_t g, std::uint8_t halves) const {
+    group_dirty_[g] |= halves;
+    bank_dirty_[g / geo_.num_sags] = 1;
     global_valid_ = false;
   }
+  /// A change of bank `b`'s read CD mask: every background write entry of
+  /// the bank filters on it.
+  void mark_read_mask_change(std::uint64_t b, std::uint64_t mask_before) const;
+  /// Invalidates the entries of bank `b`'s other groups that read CD locks
+  /// a command on group `g` raised on `cds`: read-ACT heads that would
+  /// sense one of them, and the column candidates whose CD union meets
+  /// them (reads only for a write, whose CD write locks the read columns
+  /// wait on).
+  void mark_cd_locks(std::uint64_t b, std::uint64_t g, std::uint64_t cds,
+                     bool write) const;
+  /// Recomputes bank `b`'s dirty group halves (all of them with `force`)
+  /// at query time `tq` and refolds the bank.
+  void refresh_bank(std::uint64_t b, Cycle tq, bool force) const;
+  static void fold_min(BankCand& acc, const BankCand& c);
   void refresh_global() const;
+  /// Cross-check only: recomputes every active group and bank fold from
+  /// scratch and throws on any stale cached entry.
+  void audit_cand_cache() const;
+  GroupReadCand compute_read_group(std::uint64_t b, std::uint32_t g,
+                                   Cycle tq) const;
+  GroupWriteCand compute_write_group(std::uint64_t b, std::uint32_t g,
+                                     Cycle tq) const;
+
+  /// In-flight writes still programming at `now` (done > now): a suffix of
+  /// the write_done_times_ FIFO, and after tick(now)'s expiry all of it.
+  std::vector<Cycle>::const_iterator live_writes_begin(Cycle now) const {
+    return std::upper_bound(write_done_times_.begin(),
+                            write_done_times_.end(), now);
+  }
+  std::uint64_t live_writes(Cycle now) const {
+    return static_cast<std::uint64_t>(write_done_times_.end() -
+                                      live_writes_begin(now));
+  }
 
   std::int32_t alloc_read_slot();
   void free_read_slot(std::int32_t slot);
@@ -332,12 +379,12 @@ class ControllerT final : public ControllerBase {
   WritePick select_write_indexed(Cycle now, bool background_only,
                                  std::vector<std::int32_t>& to_flag) const;
   Cycle next_event_indexed(Cycle now) const;
-  void recompute_bank_cand(std::uint64_t bank, Cycle tq) const;
   bool write_conflicts_with_reads(const mem::DecodedAddr& w) const;
 
   /// next_event minus the completions-pending short-circuit. advance_to
   /// walks the chain with this so buffered completions (drained only at the
   /// horizon) do not degrade the window into per-cycle no-op ticks.
+  /// Memoised per query cycle until the next tick or enqueue.
   Cycle next_event_internal(Cycle now) const;
 
   // ---- reference oracle: the pre-index O(queue) scans, preserved verbatim
@@ -355,7 +402,8 @@ class ControllerT final : public ControllerBase {
                    std::vector<std::int32_t>& ref_flags) const;
 
   /// Applies the sticky bus_blocked flags a selection produced (each slot
-  /// is a false -> true transition), dirtying the affected banks.
+  /// is a false -> true transition), invalidating the flagged requests'
+  /// group halves.
   void apply_read_flags(const std::vector<std::int32_t>& slots);
   void apply_write_flags(const std::vector<std::int32_t>& slots);
 
@@ -387,26 +435,34 @@ class ControllerT final : public ControllerBase {
   WriteQueue writes_;
   RequestIndex widx_;  // queued writes, keyed by WriteQueue slot index
 
-  std::vector<InFlight> inflight_reads_;   // column issued, burst pending
+  // Column issued, burst pending. A FIFO: every burst ends tCAS + tBURST
+  // after its issue, so done times rise in issue order.
+  std::vector<InFlight> inflight_reads_;
   std::vector<mem::MemRequest> completed_;
   Cycle last_read_activity_ = 0;  // last read enqueue/issue (drain gating)
   std::vector<Cycle> sag_last_read_;  // per (bank, SAG): last read touch
-  std::vector<Cycle> write_done_times_;  // in-flight write completions
+  // In-flight write completions, a FIFO for the same reason (a write ends a
+  // fixed offset after its issue); expired at each tick's start.
+  std::vector<Cycle> write_done_times_;
   std::uint64_t seq_counter_ = 0;  // sched_seq stamp (arrival total order)
 
   // next_event candidate cache (mutable: refreshed inside const queries).
   mutable std::vector<BankCand> bank_cand_;
   mutable std::vector<GroupReadCand> group_rcand_;   // per (bank, SAG) group
   mutable std::vector<GroupWriteCand> group_wcand_;
-  mutable std::vector<std::uint8_t> bank_dirty_;
-  std::vector<std::uint8_t> bank_pure_;  // pure_timing(), fixed at build
+  mutable std::vector<std::uint8_t> group_dirty_;    // kReadHalf | kWriteHalf
+  mutable std::vector<std::uint8_t> bank_dirty_;     // bank_cand_ needs a refold
   bool all_pure_ = false;                // every bank is pure_timing()
-  // Fold of bank_cand_ over all banks, valid while no bank has been dirtied
+  // Fold of bank_cand_ over all banks, valid while no group has been marked
   // since the fold (only ever valid when all_pure_). Lets the selectors
   // prove "nothing issuable, nothing to flag" in O(1) without touching a
   // single group.
   mutable BankCand global_cand_;
   mutable bool global_valid_ = false;
+  // next_event_internal memo: the value at cycle ne_memo_now_, dropped by
+  // every tick and enqueue (the only mutations next_event depends on).
+  mutable Cycle ne_memo_now_ = kNeverCycle;
+  mutable Cycle ne_memo_ = kNeverCycle;
 
   bool cross_check_ = false;
 

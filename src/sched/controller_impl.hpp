@@ -2,10 +2,12 @@
 // instantiate the template (controller.cpp for the shipped bank types) —
 // user code sees controller.hpp's extern template declarations instead.
 // BankT must be complete wherever this header is instantiated, and must
-// provide the keyed probes and the decomposed column probe
-// (column_base_key / column_fold_key, see FgNvmBank): the row-list scans
-// hoist the member-independent base out of each walk and fold only the
-// per-member CD locks inside it.
+// provide the keyed probes, the decomposed column probe (column_base_key /
+// column_fold_key, see FgNvmBank) and its floor / SAG-key split
+// (column_floor, activate_floor, column_sag_key, activate_sag_key,
+// activate_cds): the row-list scans hoist the member-independent base out
+// of each walk and fold only the per-member CD locks inside it, and the
+// candidate cache stores SAG keys with the floors applied on read.
 #pragma once
 
 #include <algorithm>
@@ -56,11 +58,10 @@ ControllerT<BankT>::ControllerT(const mem::MemGeometry& geometry,
   bank_cand_.assign(n, BankCand{});
   group_rcand_.assign(n * geo_.num_sags, GroupReadCand{});
   group_wcand_.assign(n * geo_.num_sags, GroupWriteCand{});
+  group_dirty_.assign(n * geo_.num_sags, 0);
   bank_dirty_.assign(n, 0);
-  bank_pure_.reserve(n);
-  for (const auto& b : banks_) bank_pure_.push_back(b->pure_timing() ? 1 : 0);
-  all_pure_ = true;
-  for (const std::uint8_t p : bank_pure_) all_pure_ = all_pure_ && p != 0;
+  all_pure_ = std::all_of(banks_.begin(), banks_.end(),
+                          [](const auto& b) { return b->pure_timing(); });
 
   inflight_reads_.reserve(cfg_.read_queue_cap);
   completed_.reserve(cfg_.read_queue_cap);
@@ -111,6 +112,7 @@ bool ControllerT<BankT>::can_accept(OpType op) const {
 
 template <typename BankT>
 void ControllerT<BankT>::enqueue(mem::MemRequest req, Cycle now) {
+  ne_memo_now_ = kNeverCycle;
   req.arrival = now;
   req.sched_seq = seq_counter_++;
   if (req.is_read()) {
@@ -135,8 +137,12 @@ void ControllerT<BankT>::enqueue(mem::MemRequest req, Cycle now) {
     const std::int32_t slot = alloc_read_slot();
     rpool_[static_cast<std::size_t>(slot)].req = req;
     const std::uint64_t b = bank_linear(req.addr);
+    const std::uint64_t read_mask = ridx_.cd_mask(b);
     ridx_.insert(slot, b, req.addr, req.sched_seq);
-    mark_bank_dirty(b);
+    // Both halves: background writes read the group's read count and
+    // recency (sag_last_read_).
+    mark_group(sag_group(req.addr), kReadHalf | kWriteHalf);
+    mark_read_mask_change(b, read_mask);
     last_read_activity_ = now;
     sag_last_read_[sag_group(req.addr)] = now;
     bump(h_reads_accepted_, "reads.accepted");
@@ -147,9 +153,8 @@ void ControllerT<BankT>::enqueue(mem::MemRequest req, Cycle now) {
       bump(h_writes_coalesced_, "writes.coalesced");
       if (obs_) obs_->on_coalesced();
     } else {
-      const std::uint64_t b = bank_linear(req.addr);
-      widx_.insert(slot, b, req.addr, req.sched_seq);
-      mark_bank_dirty(b);
+      widx_.insert(slot, bank_linear(req.addr), req.addr, req.sched_seq);
+      mark_group(sag_group(req.addr), kWriteHalf);
       bump(h_writes_accepted_, "writes.accepted");
       if (obs_) obs_->on_enqueue(req, now);
     }
@@ -178,7 +183,7 @@ void ControllerT<BankT>::maybe_close_row(const mem::DecodedAddr& a, Cycle now) {
   if (!close) return;  // still wanted
   bank_of(a).close_row(a, now);
   bump(h_cmd_close_row_, "cmd.close_row");
-  mark_bank_dirty(b);
+  mark_group(sag_group(a), kReadHalf | kWriteHalf);
 }
 
 template <typename BankT>
@@ -305,22 +310,27 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
   std::int32_t winner = -1;
   std::uint64_t winner_seq = ~0ULL;
   const std::uint64_t nbanks = banks_.size();
+  // With every bank pure-timing, refresh_global just made the cached
+  // candidates exact; otherwise no cache is consulted.
+  const bool cand_exact = global_valid_;
   for (std::uint64_t b = 0; b < nbanks; ++b) {
-    // A clean pure-timing bank's cached candidates are exact: if no column
-    // minimum that can act (see col_due) has arrived yet, no member of this
-    // bank can issue or be flagged at `now`.
-    const bool cand_exact = !bank_dirty_[b] && bank_pure_[b];
+    // If no column minimum of the bank that can act (see col_due) has
+    // arrived yet, no member of this bank can issue or be flagged at `now`.
     if (cand_exact && col_due(bank_cand_[b].read_col_plain,
                               bank_cand_[b].read_col_flagged) > now) {
       continue;
     }
     const BankT& bank = *typed_[b];
+    const Cycle col_floor = bank.column_floor();
     for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
-      // Same pruning, one group finer, off the per-group slice the
-      // recompute walk caches alongside the bank minima.
+      // Same pruning, one group finer, off the group's cached minima with
+      // the bank floor applied.
       if (cand_exact) {
         const GroupReadCand& gc = group_rcand_[g];
-        if (col_due(gc.col_plain, gc.col_flagged) > now) continue;
+        if (std::max(col_floor, col_due(gc.col_plain, gc.col_flagged)) >
+            now) {
+          continue;
+        }
       }
       // With the bus free nothing gets flagged, and every member of the
       // group is younger than its head — a head already younger than the
@@ -377,7 +387,7 @@ void ControllerT<BankT>::apply_read_flags(
     assert(!req.bus_blocked && "selection reports flag transitions only");
     req.bus_blocked = true;
     ridx_.set_flag(s, true);
-    mark_bank_dirty(bank_linear(req.addr));
+    mark_group(sag_group(req.addr), kReadHalf);
   }
 }
 
@@ -389,7 +399,7 @@ void ControllerT<BankT>::apply_write_flags(
     assert(!w.bus_blocked && "selection reports flag transitions only");
     w.bus_blocked = true;
     widx_.set_flag(s, true);
-    mark_bank_dirty(bank_linear(w.addr));
+    mark_group(sag_group(w.addr), kWriteHalf);
   }
 }
 
@@ -428,12 +438,18 @@ void ControllerT<BankT>::commit_read_column(std::int32_t slot, Cycle now) {
   (void)burst_start;
   bus_.reserve(data_start, timing_.tBURST);
   if (obs_) obs_->on_read_burst(req.id, now, data_start);
+  assert(inflight_reads_.empty() ||
+         inflight_reads_.back().done <= data_start + timing_.tBURST);
   inflight_reads_.push_back(InFlight{req, data_start + timing_.tBURST});
   sag_last_read_[sag_group(req.addr)] = now;
   const std::uint64_t b = bank_linear(req.addr);
+  const std::uint64_t read_mask = ridx_.cd_mask(b);
   ridx_.remove(slot, b);
   free_read_slot(slot);
-  mark_bank_dirty(b);
+  // A read column raises only the tCCD window (a floor) and its own SAG's
+  // state; the other groups see just the read CD mask.
+  mark_group(sag_group(req.addr), kReadHalf | kWriteHalf);
+  mark_read_mask_change(b, read_mask);
   bump(h_cmd_read_, "cmd.read");
   maybe_close_row(req.addr, now);
 }
@@ -520,27 +536,37 @@ auto ControllerT<BankT>::select_read_activate_indexed(Cycle now) const
     }
   }
   const std::uint64_t nbanks = banks_.size();
+  const bool cand_exact = global_valid_;  // see select_read_column_indexed
   for (std::uint64_t b = 0; b < nbanks; ++b) {
-    // Clean pure-timing banks with no ACT candidate due yet cannot win.
-    const bool cand_exact = !bank_dirty_[b] && bank_pure_[b];
+    // Banks with no ACT candidate due yet cannot win.
     if (cand_exact && bank_cand_[b].read_act > now) continue;
     const BankT& bank = *typed_[b];
+    const Cycle act_floor = bank.activate_floor();
     for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
       const std::int32_t s = ridx_.group_head(g);
       if (ridx_.seq(s) >= winner_seq) continue;
-      // The cached per-group ACT candidate replaces the sensed/activate
-      // probes for groups whose head is not due yet.
-      if (cand_exact && group_rcand_[g].act > now) continue;
-      const std::uint64_t sag = ridx_.sag(s);
-      const std::uint64_t row = ridx_.row_of(s);
-      if (bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
-      const std::uint64_t extra_cds = aug ? ridx_.row_cds(b, row) : 0;
-      if (bank.earliest_activate_key(sag, row, ridx_.cds(s), extra_cds,
-                                     nvm::ActPurpose::kRead, now) <= now) {
-        winner_seq = ridx_.seq(s);
-        pick = {s, extra_cds};
+      if (cand_exact) {
+        // The exact cached ACT candidate is the head's sensed/activate
+        // probe, floor applied.
+        if (std::max(act_floor, group_rcand_[g].act) > now) continue;
+      } else {
+        const std::uint64_t sag = ridx_.sag(s);
+        const std::uint64_t row = ridx_.row_of(s);
+        if (bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
+        const std::uint64_t extra_cds = aug ? ridx_.row_cds(b, row) : 0;
+        if (bank.earliest_activate_key(sag, row, ridx_.cds(s), extra_cds,
+                                       nvm::ActPurpose::kRead, now) > now) {
+          continue;
+        }
       }
+      winner_seq = ridx_.seq(s);
+      pick.slot = s;
     }
+  }
+  // Only the winner needs its demand-aggregated CD mask.
+  if (pick.slot >= 0 && aug) {
+    pick.extra_cds =
+        ridx_.row_cds(ridx_.bank_of(pick.slot), ridx_.row_of(pick.slot));
   }
   return pick;
 }
@@ -562,9 +588,13 @@ bool ControllerT<BankT>::try_issue_read_activate(Cycle now) {
   // An underfetch re-sense is an ACT on the already-open row (some CDs
   // the queue wants were not sensed by the earlier activation).
   const bool underfetch = bank.row_open(a);
+  const std::uint64_t sensed =
+      bank.activate_cds(a.sag, a.row, ridx_.cds(pick.slot), pick.extra_cds);
   bank.issue_activate(a, nvm::ActPurpose::kRead, now, pick.extra_cds);
   const std::uint64_t b = bank_linear(a);
-  mark_bank_dirty(b);
+  const std::uint64_t g = sag_group(a);
+  mark_group(g, kReadHalf | kWriteHalf);
+  mark_cd_locks(b, g, sensed, /*write=*/false);
   bump(h_cmd_act_read_, "cmd.act_read");
   if (obs_) {
     // Stamp the ACT on every queued read this activation now covers —
@@ -638,12 +668,13 @@ auto ControllerT<BankT>::select_write_indexed(
   // Write minima that can still act at `now` under this drain mode's
   // filters. ACT candidates live in the plain minima; a flagged column
   // write only matters when it can win, i.e. with the bus free.
+  const auto write_due_col = [&](Cycle plain, Cycle flagged) {
+    return bus_ok ? std::min(plain, flagged) : plain;
+  };
   const auto write_due = [&](Cycle plain, Cycle flagged, Cycle bg_plain,
                              Cycle bg_flagged) {
-    if (background_only) {
-      return bus_ok ? std::min(bg_plain, bg_flagged) : bg_plain;
-    }
-    return bus_ok ? std::min(plain, flagged) : plain;
+    return background_only ? write_due_col(bg_plain, bg_flagged)
+                           : write_due_col(plain, flagged);
   };
   // O(1) out: no write that can act is due yet on any bank — nothing to
   // pick, nothing to flag.
@@ -692,11 +723,10 @@ auto ControllerT<BankT>::select_write_indexed(
   WritePick pick{-1, false};
   std::uint64_t winner_seq = ~0ULL;
   const std::uint64_t nbanks = banks_.size();
+  const bool cand_exact = global_valid_;  // see select_read_column_indexed
   for (std::uint64_t b = 0; b < nbanks; ++b) {
-    // Clean pure-timing banks whose cached write minima (guard folded for
-    // the background path) have not arrived yet cannot contribute a winner
-    // or a flag.
-    const bool cand_exact = !bank_dirty_[b] && bank_pure_[b];
+    // Banks whose cached write minima (guard folded for the background
+    // path) have not arrived yet cannot contribute a winner or a flag.
     if (cand_exact) {
       const BankCand& c = bank_cand_[b];
       if (write_due(c.write_plain, c.write_flagged, c.write_bg_plain,
@@ -705,16 +735,26 @@ auto ControllerT<BankT>::select_write_indexed(
       }
     }
     const BankT& bank = *typed_[b];
+    const Cycle act_floor = bank.activate_floor();
+    const Cycle col_floor = bank.column_floor();
     for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
-      // Same pruning, one group finer: the recompute walk caches each
-      // group's slice of the bank minima, so a not-yet-due group costs one
-      // load instead of the row-hash probe and timing probes below.
+      // Same pruning, one group finer and per half: the head's ACT and the
+      // open-row columns sit behind different floors, so a half that is
+      // not due yet skips its probes (the row-hash probe and member walk
+      // for the columns), and a group with neither half due costs a few
+      // loads.
+      bool act_due = true, col_due = true;
       if (cand_exact) {
         const GroupWriteCand& gc = group_wcand_[g];
-        if (write_due(gc.plain, gc.flagged, gc.bg_plain, gc.bg_flagged) >
-            now) {
-          continue;
-        }
+        act_due = std::max(act_floor, background_only ? gc.bg_act : gc.act) <=
+                  now;
+        col_due = std::max(col_floor,
+                           background_only
+                               ? write_due_col(gc.bg_col_plain,
+                                               gc.bg_col_flagged)
+                               : write_due_col(gc.col_plain,
+                                               gc.col_flagged)) <= now;
+        if (!act_due && !col_due) continue;
       }
       if (background_only) {
         // ridx_ and widx_ share the group-id space (bank * num_sags + sag),
@@ -731,7 +771,7 @@ auto ControllerT<BankT>::select_write_indexed(
       // all group members share the SAG — one probe covers the group.
       const std::uint64_t sag = g % geo_.num_sags;
       const std::uint64_t row = bank.open_row_of(sag);
-      if (widx_.row_of(head) != row) {
+      if (act_due && widx_.row_of(head) != row) {
         // Only the group head may activate; a head on the open row never
         // activates. (Younger group members on the open row are still
         // column candidates below.)
@@ -744,7 +784,7 @@ auto ControllerT<BankT>::select_write_indexed(
           pick = {head, /*activate=*/true};
         }
       }
-      if (row == kInvalidAddr) continue;
+      if (!col_due || row == kInvalidAddr) continue;
       // Hoist the member-independent half of the column probe; a member's
       // earliest column is >= the base, so a late base rules out every
       // column candidate (winner or flag) in this group at once.
@@ -808,7 +848,8 @@ bool ControllerT<BankT>::try_issue_write(Cycle now, bool background_only) {
     const mem::MemRequest& w = writes_.at(pick.slot);
     BankT& bank = bank_of(w.addr);
     bank.issue_activate(w.addr, nvm::ActPurpose::kWrite, now);
-    mark_bank_dirty(bank_linear(w.addr));
+    // The bank-wide ACT lock (Multi-Activation off) is a floor.
+    mark_group(sag_group(w.addr), kReadHalf | kWriteHalf);
     bump(h_cmd_act_write_, "cmd.act_write");
     if (obs_) obs_->on_activate(w.id, now, /*underfetch=*/false);
     return true;
@@ -826,13 +867,19 @@ void ControllerT<BankT>::commit_write_column(std::int32_t slot, Cycle now,
   const Cycle data_start = now + timing_.tCWD;
   if (w.bus_blocked) bump(h_bus_col_conflicts_, "bus.column_conflicts");
   const Cycle done = bank.issue_column(w.addr, OpType::kWrite, now);
+  assert(write_done_times_.empty() || write_done_times_.back() <= done);
   write_done_times_.push_back(done);
   bus_.reserve(data_start, timing_.tBURST);
   if (obs_) obs_->on_write_issue(w.id, now, done);
   const std::uint64_t b = bank_linear(w.addr);
+  const std::uint64_t g = sag_group(w.addr);
+  const std::uint64_t cds = widx_.cds(slot);
   widx_.remove(slot, b);
   writes_.remove_slot(slot);
-  mark_bank_dirty(b);
+  // The non-background bank lock and tCCD are floors; the write's CD locks
+  // reach the other groups that wait on those CDs.
+  mark_group(g, kReadHalf | kWriteHalf);
+  mark_cd_locks(b, g, cds, /*write=*/true);
   bump(background_only ? h_cmd_write_bg_ : h_cmd_write_drain_,
        background_only ? "cmd.write_background" : "cmd.write_drain");
   bump(h_cmd_write_, "cmd.write");
@@ -861,11 +908,9 @@ bool ControllerT<BankT>::try_issue(Cycle now, bool& write_done) {
   }
   if (try_issue_read_column(now)) return true;
   if (try_issue_read_activate(now)) return true;
-  // Count writes still programming (for the background in-flight cap).
-  std::erase_if(write_done_times_, [&](Cycle done) { return done <= now; });
   if (cfg_.policy == SchedulerPolicy::kFrfcfsAugmented &&
       writes_.size() >= cfg_.bg_write_min &&
-      write_done_times_.size() < cfg_.bg_write_inflight_max) {
+      live_writes(now) < cfg_.bg_write_inflight_max) {
     // Backgrounded Writes: slip writes under pending reads whenever the
     // target (bank, SAG, CD) is disjoint from every queued read. The
     // occupancy floor preserves the coalescing window — draining writes the
@@ -888,27 +933,25 @@ bool ControllerT<BankT>::try_issue(Cycle now, bool& write_done) {
 
 template <typename BankT>
 void ControllerT<BankT>::retire_reads(Cycle now) {
-  // Retire finished read bursts (in-flight vector order — issue order — so
-  // the Welford latency accumulation stays bit-identical across drivers).
-  for (auto it = inflight_reads_.begin(); it != inflight_reads_.end();) {
-    if (it->done <= now) {
-      it->req.completion = it->done;
-      const double latency = static_cast<double>(it->done - it->req.arrival);
-      if (!d_read_latency_) {
-        d_read_latency_ = &stats_.distribution_ref("read_latency");
-      }
-      d_read_latency_->add(latency);
-      if (!h_read_latency_hist_) {
-        h_read_latency_hist_ = &stats_.histogram_ref("read_latency_hist");
-      }
-      h_read_latency_hist_->add(latency);
-      if (obs_) obs_->on_read_complete(it->req.id, it->done);
-      completed_.push_back(it->req);
-      it = inflight_reads_.erase(it);
-    } else {
-      ++it;
+  // Retire finished read bursts in issue order (so the Welford latency
+  // accumulation stays bit-identical across drivers): the in-flight FIFO's
+  // done times rise in issue order, so the finished bursts are a prefix.
+  auto it = inflight_reads_.begin();
+  for (; it != inflight_reads_.end() && it->done <= now; ++it) {
+    it->req.completion = it->done;
+    const double latency = static_cast<double>(it->done - it->req.arrival);
+    if (!d_read_latency_) {
+      d_read_latency_ = &stats_.distribution_ref("read_latency");
     }
+    d_read_latency_->add(latency);
+    if (!h_read_latency_hist_) {
+      h_read_latency_hist_ = &stats_.histogram_ref("read_latency_hist");
+    }
+    h_read_latency_hist_->add(latency);
+    if (obs_) obs_->on_read_complete(it->req.id, it->done);
+    completed_.push_back(it->req);
   }
+  inflight_reads_.erase(inflight_reads_.begin(), it);
 }
 
 template <typename BankT>
@@ -916,8 +959,10 @@ void ControllerT<BankT>::tick(Cycle now) {
   // Charge the span since the previous tick to each traced request's pending
   // cause before any state changes this cycle.
   if (obs_) obs_->close_spans(now);
+  ne_memo_now_ = kNeverCycle;
 
   retire_reads(now);
+  write_done_times_.erase(write_done_times_.begin(), live_writes_begin(now));
 
   writes_.update_drain();
   bool write_done = false;
@@ -963,8 +1008,8 @@ Cycle ControllerT<BankT>::advance_until_accept(Cycle due, OpType op,
 template <typename BankT>
 Cycle ControllerT<BankT>::completion_bound(Cycle now) const {
   if (!completed_.empty()) return now + 1;
-  Cycle bound = kNeverCycle;
-  for (const InFlight& fl : inflight_reads_) bound = std::min(bound, fl.done);
+  Cycle bound =
+      inflight_reads_.empty() ? kNeverCycle : inflight_reads_.front().done;
   if (!ridx_.empty()) {
     // A queued read's burst cannot start before the channel's next state
     // change (its column issue is a state change), so its completion is at
@@ -1020,12 +1065,10 @@ void ControllerT<BankT>::observe_blocking(Cycle now) {
                          inflight_reads_.empty() &&
                          (writes_.size() >= cfg_.wq_low ||
                           now >= last_read_activity_ + cfg_.drain_idle_timeout);
-  std::uint64_t live_writes = 0;
-  for (const Cycle d : write_done_times_) live_writes += d > now ? 1 : 0;
   const bool bg_path = !draining &&
                        cfg_.policy == SchedulerPolicy::kFrfcfsAugmented &&
                        writes_.size() >= cfg_.bg_write_min &&
-                       live_writes < cfg_.bg_write_inflight_max;
+                       live_writes(now) < cfg_.bg_write_inflight_max;
   for (std::int32_t s = writes_.first(); s >= 0; s = writes_.next(s)) {
     const mem::MemRequest& w = writes_.at(s);
     const bool oldest = widx_.is_group_head(s);
@@ -1097,129 +1140,240 @@ bool ControllerT<BankT>::idle() const {
 // overshoot the first cycle > now at which tick() would change any state or
 // stat. It may undershoot (an early wake-up is a harmless no-op tick).
 //
-// The indexed implementation serves per-bank candidate minima from a cache
-// (recomputed only for dirty banks) and applies the query-time globals —
-// t0 clamp, bus readiness for flagged candidates, drain/idle/background
-// gates — on top. That is exact because every global G combines as
+// The indexed implementation serves candidate minima from a per-(bank, SAG)
+// group cache (recomputed only for the group halves a mutation touched,
+// DESIGN.md §8), folds them per bank under the bank floors and over all
+// banks, and applies the query-time globals — t0 clamp, bus readiness for
+// flagged candidates, drain/idle/background gates — on top. That is exact
+// because every global or floor G combines as
 // min_i max(c_i, G) == max(min_i c_i, G). FCFS read scans stop at the queue
 // head, which does not decompose per bank, so FCFS uses the reference walk.
 // ---------------------------------------------------------------------------
 
 template <typename BankT>
-void ControllerT<BankT>::refresh_global() const {
-  // Only meaningful with every bank pure_timing: candidates computed at
-  // t=0 stay valid at any later query (the clamp identity), so dirty banks
-  // can be refreshed mid-tick, right after an issue, and the fold below
-  // bounds every selector until the next mark_bank_dirty.
-  if (!all_pure_ || global_valid_) return;
-  const std::uint64_t nbanks = banks_.size();
-  for (std::uint64_t b = 0; b < nbanks; ++b) {
-    if (bank_dirty_[b]) {
-      recompute_bank_cand(b, 0);
-      bank_dirty_[b] = 0;
-    }
+void ControllerT<BankT>::mark_read_mask_change(std::uint64_t b,
+                                               std::uint64_t mask_before) const {
+  // Only FRFCFS_AUG fills the background-write entries that filter on it.
+  if (cfg_.policy != SchedulerPolicy::kFrfcfsAugmented ||
+      ridx_.cd_mask(b) == mask_before) {
+    return;
   }
-  BankCand g;
-  for (std::uint64_t b = 0; b < nbanks; ++b) {
-    const BankCand& c = bank_cand_[b];
-    g.read_col_plain = std::min(g.read_col_plain, c.read_col_plain);
-    g.read_col_flagged = std::min(g.read_col_flagged, c.read_col_flagged);
-    g.read_act = std::min(g.read_act, c.read_act);
-    g.write_plain = std::min(g.write_plain, c.write_plain);
-    g.write_flagged = std::min(g.write_flagged, c.write_flagged);
-    g.write_bg_plain = std::min(g.write_bg_plain, c.write_bg_plain);
-    g.write_bg_flagged = std::min(g.write_bg_flagged, c.write_bg_flagged);
+  for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
+    mark_group(g, kWriteHalf);
   }
-  global_cand_ = g;
-  global_valid_ = true;
 }
 
 template <typename BankT>
-void ControllerT<BankT>::recompute_bank_cand(std::uint64_t b, Cycle tq) const {
-  BankCand c;
+void ControllerT<BankT>::mark_cd_locks(std::uint64_t b, std::uint64_t g,
+                                       std::uint64_t cds, bool write) const {
+  // A clean entry is exact, so its cached CD sets say whether the new
+  // locks reach it; a dirty one is recomputed anyway. Read ACTs wait on
+  // both kinds of lock of the CDs they sense, write columns on both kinds
+  // of their line's CDs, read columns only on CD write locks.
+  for (const std::uint32_t o : ridx_.active_groups_of_bank(b)) {
+    const GroupReadCand& c = group_rcand_[o];
+    const std::uint64_t waits = c.act_cds | (write ? c.col_cds : 0);
+    if (o != g && (waits & cds) != 0) mark_group(o, kReadHalf);
+  }
+  for (const std::uint32_t o : widx_.active_groups_of_bank(b)) {
+    if (o != g && (group_wcand_[o].col_cds & cds) != 0) {
+      mark_group(o, kWriteHalf);
+    }
+  }
+}
+
+template <typename BankT>
+auto ControllerT<BankT>::compute_read_group(std::uint64_t b, std::uint32_t g,
+                                            Cycle tq) const -> GroupReadCand {
+  GroupReadCand gc;
   const BankT& bank = *typed_[b];
-  const bool aug = cfg_.policy == SchedulerPolicy::kFrfcfsAugmented;
+  const std::int32_t head = ridx_.group_head(g);
+  const std::uint64_t sag = g % geo_.num_sags;
+  const std::uint64_t hrow = ridx_.row_of(head);
+  if (!bank.segments_sensed_key(sag, hrow, ridx_.cds(head))) {
+    // The maintained (bank, row) CD mask replaces the per-head row-list
+    // walk the demand aggregation used to do.
+    const std::uint64_t extra_cds =
+        cfg_.policy == SchedulerPolicy::kFrfcfsAugmented
+            ? ridx_.row_cds(b, hrow)
+            : 0;
+    gc.act = bank.activate_sag_key(sag, hrow, ridx_.cds(head), extra_cds,
+                                   nvm::ActPurpose::kRead, tq);
+    gc.act_cds = bank.activate_cds(sag, hrow, ridx_.cds(head), extra_cds);
+  }
+  const std::uint64_t row = bank.open_row_of(sag);
+  if (row == kInvalidAddr) return gc;
+  // Candidates are minima at tq, so no early-out — but the member-
+  // independent base still hoists out of the walk.
+  const Cycle col_base = bank.column_sag_key(sag, OpType::kRead, tq);
+  for (std::int32_t s = ridx_.row_head(b, row); s >= 0; s = ridx_.row_next(s)) {
+    ridx_.prefetch(ridx_.row_next(s));
+    if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
+    gc.col_cds |= ridx_.cds(s);
+    const Cycle e = bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base);
+    Cycle& tgt = ridx_.flagged(s) ? gc.col_flagged : gc.col_plain;
+    tgt = std::min(tgt, e);
+  }
+  return gc;
+}
 
+template <typename BankT>
+auto ControllerT<BankT>::compute_write_group(std::uint64_t b, std::uint32_t g,
+                                             Cycle tq) const -> GroupWriteCand {
+  GroupWriteCand gc;
+  const BankT& bank = *typed_[b];
+  const std::int32_t head = widx_.group_head(g);
+  // The background SAG-conflict half of write_conflicts_with_reads is
+  // uniform across the group (shared group-id space with ridx_); only the
+  // CD-overlap half is per-write.
+  const bool bg_group = cfg_.policy == SchedulerPolicy::kFrfcfsAugmented &&
+                        ridx_.group_count(g) == 0;
+  const Cycle guard = sag_last_read_[g] + cfg_.bg_write_guard;
+  // row_open(a) is open_row_of(a.sag) == a.row for every bank kind — one
+  // probe covers the whole group.
+  const std::uint64_t sag = g % geo_.num_sags;
+  const std::uint64_t row = bank.open_row_of(sag);
+  if (widx_.row_of(head) != row) {
+    gc.act = bank.activate_sag_key(sag, widx_.row_of(head), 0, 0,
+                                   nvm::ActPurpose::kWrite, tq);
+    if (bg_group && !ridx_.cd_overlap_mask(b, widx_.cds(head))) {
+      gc.bg_act = std::max(gc.act, guard);
+    }
+  }
+  if (row == kInvalidAddr) return gc;
+  const Cycle col_base = bank.column_sag_key(sag, OpType::kWrite, tq);
+  for (std::int32_t s = widx_.row_head(b, row); s >= 0; s = widx_.row_next(s)) {
+    widx_.prefetch(widx_.row_next(s));
+    const bool flg = widx_.flagged(s);
+    gc.col_cds |= widx_.cds(s);
+    const Cycle e =
+        bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base);
+    Cycle& tgt = flg ? gc.col_flagged : gc.col_plain;
+    tgt = std::min(tgt, e);
+    if (bg_group && !ridx_.cd_overlap_mask(b, widx_.cds(s))) {
+      Cycle& bg = flg ? gc.bg_col_flagged : gc.bg_col_plain;
+      bg = std::min(bg, std::max(e, guard));
+    }
+  }
+  return gc;
+}
+
+template <typename BankT>
+void ControllerT<BankT>::refresh_bank(std::uint64_t b, Cycle tq,
+                                      bool force) const {
+  // One pass per half recomputes the dirty entries and folds every active
+  // group's floor-free minima; the bank floors go on top. Exact, since
+  // max(floor, min_g x_g) == min_g max(floor, x_g).
+  GroupReadCand r;
   for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
-    GroupReadCand gc;
-    const std::int32_t head = ridx_.group_head(g);
-    const std::uint64_t hsag = ridx_.sag(head);
-    const std::uint64_t hrow = ridx_.row_of(head);
-    if (!bank.segments_sensed_key(hsag, hrow, ridx_.cds(head))) {
-      // The maintained (bank, row) CD mask replaces the per-head row-list
-      // walk the demand aggregation used to do.
-      const std::uint64_t extra_cds = aug ? ridx_.row_cds(b, hrow) : 0;
-      gc.act = bank.earliest_activate_key(hsag, hrow, ridx_.cds(head),
-                                          extra_cds, nvm::ActPurpose::kRead,
-                                          tq);
-      c.read_act = std::min(c.read_act, gc.act);
+    GroupReadCand& c = group_rcand_[g];
+    if (force || (group_dirty_[g] & kReadHalf) != 0) {
+      c = compute_read_group(b, g, tq);
+      group_dirty_[g] &= static_cast<std::uint8_t>(~kReadHalf);
     }
-    const std::uint64_t sag = g % geo_.num_sags;
-    const std::uint64_t row = bank.open_row_of(sag);
-    if (row != kInvalidAddr) {
-      // Candidates are minima at tq, so no early-out — but the
-      // member-independent base still hoists out of the walk.
-      const Cycle col_base = bank.column_base_key(sag, OpType::kRead, tq);
-      for (std::int32_t s = ridx_.row_head(b, row); s >= 0;
-           s = ridx_.row_next(s)) {
-        ridx_.prefetch(ridx_.row_next(s));
-        if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
-        const Cycle e =
-            bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base);
-        Cycle& tgt = ridx_.flagged(s) ? gc.col_flagged : gc.col_plain;
-        tgt = std::min(tgt, e);
-      }
-      c.read_col_plain = std::min(c.read_col_plain, gc.col_plain);
-      c.read_col_flagged = std::min(c.read_col_flagged, gc.col_flagged);
-    }
-    group_rcand_[g] = gc;
+    r.col_plain = std::min(r.col_plain, c.col_plain);
+    r.col_flagged = std::min(r.col_flagged, c.col_flagged);
+    r.act = std::min(r.act, c.act);
   }
-
+  GroupWriteCand w;
   for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
-    GroupWriteCand gc;
-    const std::int32_t head = widx_.group_head(g);
-    // The background SAG-conflict half of write_conflicts_with_reads is
-    // uniform across the group (shared group-id space with ridx_); only
-    // the CD-overlap half is per-write.
-    const bool bg_group = aug && ridx_.group_count(g) == 0;
-    const Cycle guard = sag_last_read_[g] + cfg_.bg_write_guard;
-    // row_open(a) is open_row_of(a.sag) == a.row for every bank kind —
-    // one probe covers the whole group.
-    const std::uint64_t sag = g % geo_.num_sags;
-    const std::uint64_t row = bank.open_row_of(sag);
-    if (widx_.row_of(head) != row) {
-      const Cycle e = bank.earliest_activate_key(
-          sag, widx_.row_of(head), 0, 0, nvm::ActPurpose::kWrite, tq);
-      // ACT candidates never fold in the bus, so they live in the plain min.
-      gc.plain = e;
-      if (bg_group && !ridx_.cd_overlap_mask(b, widx_.cds(head))) {
-        gc.bg_plain = std::max(e, guard);
-      }
+    GroupWriteCand& c = group_wcand_[g];
+    if (force || (group_dirty_[g] & kWriteHalf) != 0) {
+      c = compute_write_group(b, g, tq);
+      group_dirty_[g] &= static_cast<std::uint8_t>(~kWriteHalf);
     }
-    if (row != kInvalidAddr) {
-      const Cycle col_base = bank.column_base_key(sag, OpType::kWrite, tq);
-      for (std::int32_t s = widx_.row_head(b, row); s >= 0;
-           s = widx_.row_next(s)) {
-        widx_.prefetch(widx_.row_next(s));
-        const bool flg = widx_.flagged(s);
-        const Cycle e =
-            bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base);
-        (flg ? gc.flagged : gc.plain) =
-            std::min(flg ? gc.flagged : gc.plain, e);
-        if (bg_group && !ridx_.cd_overlap_mask(b, widx_.cds(s))) {
-          Cycle& tgt = flg ? gc.bg_flagged : gc.bg_plain;
-          tgt = std::min(tgt, std::max(e, guard));
-        }
-      }
-    }
-    c.write_plain = std::min(c.write_plain, gc.plain);
-    c.write_flagged = std::min(c.write_flagged, gc.flagged);
-    c.write_bg_plain = std::min(c.write_bg_plain, gc.bg_plain);
-    c.write_bg_flagged = std::min(c.write_bg_flagged, gc.bg_flagged);
-    group_wcand_[g] = gc;
+    w.act = std::min(w.act, c.act);
+    w.bg_act = std::min(w.bg_act, c.bg_act);
+    w.col_plain = std::min(w.col_plain, c.col_plain);
+    w.col_flagged = std::min(w.col_flagged, c.col_flagged);
+    w.bg_col_plain = std::min(w.bg_col_plain, c.bg_col_plain);
+    w.bg_col_flagged = std::min(w.bg_col_flagged, c.bg_col_flagged);
   }
+  const BankT& bank = *typed_[b];
+  const Cycle cf = bank.column_floor();
+  const Cycle af = bank.activate_floor();
+  // Write ACTs and write columns join the plain minima once floored.
+  bank_cand_[b] = {
+      std::max(r.col_plain, cf),
+      std::max(r.col_flagged, cf),
+      std::max(r.act, af),
+      std::min(std::max(w.act, af), std::max(w.col_plain, cf)),
+      std::max(w.col_flagged, cf),
+      std::min(std::max(w.bg_act, af), std::max(w.bg_col_plain, cf)),
+      std::max(w.bg_col_flagged, cf)};
+  bank_dirty_[b] = 0;
+}
 
-  bank_cand_[b] = c;
+template <typename BankT>
+void ControllerT<BankT>::fold_min(BankCand& acc, const BankCand& c) {
+  acc.read_col_plain = std::min(acc.read_col_plain, c.read_col_plain);
+  acc.read_col_flagged = std::min(acc.read_col_flagged, c.read_col_flagged);
+  acc.read_act = std::min(acc.read_act, c.read_act);
+  acc.write_plain = std::min(acc.write_plain, c.write_plain);
+  acc.write_flagged = std::min(acc.write_flagged, c.write_flagged);
+  acc.write_bg_plain = std::min(acc.write_bg_plain, c.write_bg_plain);
+  acc.write_bg_flagged = std::min(acc.write_bg_flagged, c.write_bg_flagged);
+}
+
+template <typename BankT>
+void ControllerT<BankT>::refresh_global() const {
+  // Only meaningful with every bank pure_timing: candidates computed at
+  // t=0 stay valid at any later query (the clamp identity), so dirty
+  // groups can be refreshed mid-tick, right after an issue, and the fold
+  // below bounds every selector until the next mark.
+  if (!all_pure_ || global_valid_) return;
+  const std::uint64_t nbanks = banks_.size();
+  BankCand f;
+  for (std::uint64_t b = 0; b < nbanks; ++b) {
+    if (bank_dirty_[b]) refresh_bank(b, 0, /*force=*/false);
+    fold_min(f, bank_cand_[b]);
+  }
+  global_cand_ = f;
+  global_valid_ = true;
+  if (cross_check_) audit_cand_cache();
+}
+
+template <typename BankT>
+void ControllerT<BankT>::audit_cand_cache() const {
+  // The pick and next_event oracles catch a stale entry only once it
+  // changes a decision; this catches it the moment it is served.
+  const auto check = [](std::uint64_t b, std::uint64_t g, const char* field,
+                        std::uint64_t cached, std::uint64_t fresh) {
+    if (cached == fresh) return;
+    detail::throw_divergence("candidate cache entry (bank " +
+                             std::to_string(b) + ", group " +
+                             std::to_string(g) + ", " + field + ")");
+  };
+  const std::uint64_t nbanks = banks_.size();
+  for (std::uint64_t b = 0; b < nbanks; ++b) {
+    for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
+      const GroupReadCand& c = group_rcand_[g];
+      const GroupReadCand f = compute_read_group(b, g, 0);
+      check(b, g, "read col_plain", c.col_plain, f.col_plain);
+      check(b, g, "read col_flagged", c.col_flagged, f.col_flagged);
+      check(b, g, "read act", c.act, f.act);
+      check(b, g, "read act_cds", c.act_cds, f.act_cds);
+      check(b, g, "read col_cds", c.col_cds, f.col_cds);
+    }
+    for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
+      const GroupWriteCand& c = group_wcand_[g];
+      const GroupWriteCand f = compute_write_group(b, g, 0);
+      check(b, g, "write act", c.act, f.act);
+      check(b, g, "write bg_act", c.bg_act, f.bg_act);
+      check(b, g, "write col_plain", c.col_plain, f.col_plain);
+      check(b, g, "write col_flagged", c.col_flagged, f.col_flagged);
+      check(b, g, "write bg_col_plain", c.bg_col_plain, f.bg_col_plain);
+      check(b, g, "write bg_col_flagged", c.bg_col_flagged, f.bg_col_flagged);
+      check(b, g, "write col_cds", c.col_cds, f.col_cds);
+    }
+    // Every group is clean here, so this is a pure refold.
+    const BankCand cached = bank_cand_[b];
+    refresh_bank(b, 0, /*force=*/false);
+    if (!(bank_cand_[b] == cached)) {
+      detail::throw_divergence("candidate cache bank fold (bank " +
+                               std::to_string(b) + ")");
+    }
+  }
 }
 
 template <typename BankT>
@@ -1233,21 +1387,25 @@ Cycle ControllerT<BankT>::next_event_indexed(Cycle now) const {
     next = std::min(next, std::max(cand, t0));
   };
 
-  for (const InFlight& fl : inflight_reads_) {
-    consider(fl.done);
+  // The in-flight FIFO's front is its earliest burst end.
+  if (!inflight_reads_.empty()) {
+    consider(inflight_reads_.front().done);
     if (next == t0) return t0;  // no earlier actionable cycle exists
   }
 
-  // Refreshes every pure-timing bank (and the global fold the selectors
-  // gate on); the loop below then only touches banks with time-driven
-  // state (DRAM refresh), which are recomputed at the querying cycle —
-  // always, so stale dirty bits never matter for them either way.
-  refresh_global();
-  const std::uint64_t nbanks = banks_.size();
-  for (std::uint64_t b = 0; b < nbanks; ++b) {
-    if (bank_dirty_[b] || !bank_pure_[b]) {
-      recompute_bank_cand(b, bank_pure_[b] ? 0 : t0);
-      bank_dirty_[b] = 0;
+  // Every gate below is a query-time global, uniform across banks, so it
+  // applies to the fold of the bank candidates. With every bank pure-timing
+  // that fold is refresh_global's, served from the cache; otherwise (DRAM
+  // refresh) every group is recomputed at the querying cycle.
+  BankCand c;
+  if (all_pure_) {
+    refresh_global();
+    c = global_cand_;
+  } else {
+    const std::uint64_t nbanks = banks_.size();
+    for (std::uint64_t b = 0; b < nbanks; ++b) {
+      refresh_bank(b, t0, /*force=*/true);
+      fold_min(c, bank_cand_[b]);
     }
   }
 
@@ -1259,56 +1417,37 @@ Cycle ControllerT<BankT>::next_event_indexed(Cycle now) const {
   // bus readiness.
   const Cycle bus_read_ready =
       bus_.earliest_start(t0 + timing_.tCAS) - timing_.tCAS;
-  for (std::uint64_t b = 0; b < nbanks; ++b) {
-    const BankCand& c = bank_cand_[b];
-    consider(c.read_col_plain);
-    consider(std::max(c.read_col_flagged, bus_read_ready));
-    consider(c.read_act);
-    if (next == t0) return t0;
-  }
+  consider(c.read_col_plain);
+  consider(std::max(c.read_col_flagged, bus_read_ready));
+  consider(c.read_act);
+  if (next == t0 || writes_.empty()) return next;
 
-  if (!writes_.empty()) {
-    const bool draining = writes_.draining();
-    const bool idle_path =
-        !draining && ridx_.empty() && inflight_reads_.empty();
-    // Low-occupancy idle drains additionally wait for the read stream to
-    // have been quiet for drain_idle_timeout.
-    Cycle idle_gate = 0;
-    if (idle_path && writes_.size() < cfg_.wq_low) {
-      idle_gate = last_read_activity_ + cfg_.drain_idle_timeout;
-    }
-    const bool bg_path = !draining &&
-                         cfg_.policy == SchedulerPolicy::kFrfcfsAugmented &&
-                         writes_.size() >= cfg_.bg_write_min;
-    // Backgrounded writes stall at the in-flight cap until a program pulse
-    // finishes; expired entries are erased lazily by tick() and count as
-    // free slots already.
-    Cycle bg_gate = 0;
-    if (bg_path) {
-      std::uint64_t live = 0;
-      Cycle earliest_done = kNeverCycle;
-      for (Cycle d : write_done_times_) {
-        if (d > now) {
-          ++live;
-          earliest_done = std::min(earliest_done, d);
-        }
-      }
-      if (live >= cfg_.bg_write_inflight_max) bg_gate = earliest_done;
-    }
-    const Cycle bus_write_ready =
-        bus_.earliest_start(t0 + timing_.tCWD) - timing_.tCWD;
-    for (std::uint64_t b = 0; b < nbanks; ++b) {
-      const BankCand& c = bank_cand_[b];
-      if (draining || idle_path) {
-        consider(std::max(c.write_plain, idle_gate));
-        consider(std::max({c.write_flagged, bus_write_ready, idle_gate}));
-      }
-      if (bg_path) {
-        consider(std::max(c.write_bg_plain, bg_gate));
-        consider(std::max({c.write_bg_flagged, bus_write_ready, bg_gate}));
-      }
-      if (next == t0) return t0;
-    }
+  const bool draining = writes_.draining();
+  const bool idle_path = !draining && ridx_.empty() && inflight_reads_.empty();
+  // Low-occupancy idle drains additionally wait for the read stream to
+  // have been quiet for drain_idle_timeout.
+  Cycle idle_gate = 0;
+  if (idle_path && writes_.size() < cfg_.wq_low) {
+    idle_gate = last_read_activity_ + cfg_.drain_idle_timeout;
+  }
+  const bool bg_path = !draining &&
+                       cfg_.policy == SchedulerPolicy::kFrfcfsAugmented &&
+                       writes_.size() >= cfg_.bg_write_min;
+  // Backgrounded writes stall at the in-flight cap until the earliest
+  // program pulse finishes: the front of the live FIFO suffix.
+  Cycle bg_gate = 0;
+  if (bg_path && live_writes(now) >= cfg_.bg_write_inflight_max) {
+    bg_gate = *live_writes_begin(now);
+  }
+  const Cycle bus_write_ready =
+      bus_.earliest_start(t0 + timing_.tCWD) - timing_.tCWD;
+  if (draining || idle_path) {
+    consider(std::max(c.write_plain, idle_gate));
+    consider(std::max({c.write_flagged, bus_write_ready, idle_gate}));
+  }
+  if (bg_path) {
+    consider(std::max(c.write_bg_plain, bg_gate));
+    consider(std::max({c.write_bg_flagged, bus_write_ready, bg_gate}));
   }
   return next;
 }
@@ -1430,15 +1569,20 @@ Cycle ControllerT<BankT>::next_event_reference(Cycle now) const {
 
 template <typename BankT>
 Cycle ControllerT<BankT>::next_event_internal(Cycle now) const {
+  if (ne_memo_now_ == now) return ne_memo_;
+  Cycle next;
   if (cfg_.policy == SchedulerPolicy::kFcfs) {
     // FCFS read scans break at the queue head — not decomposable into
     // per-bank minima; the reference walk is already O(small) there.
-    return next_event_reference(now);
+    next = next_event_reference(now);
+  } else {
+    next = next_event_indexed(now);
+    if (cross_check_ && next != next_event_reference(now)) {
+      detail::throw_divergence("next_event");
+    }
   }
-  const Cycle next = next_event_indexed(now);
-  if (cross_check_ && next != next_event_reference(now)) {
-    detail::throw_divergence("next_event");
-  }
+  ne_memo_now_ = now;
+  ne_memo_ = next;
   return next;
 }
 

@@ -319,7 +319,9 @@ TEST(TileFrame, RequestRoundtrip) {
       EXPECT_EQ(got->addr, req.addr);
       EXPECT_EQ(got->not_before, req.not_before);
     }
-    if (req.kind != tile::ReqFrame::kQuit) EXPECT_EQ(got->tag, req.tag);
+    if (req.kind != tile::ReqFrame::kQuit) {
+      EXPECT_EQ(got->tag, req.tag);
+    }
     EXPECT_FALSE(reader.next(payload));  // exactly one frame
   }
 }
