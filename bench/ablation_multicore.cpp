@@ -13,11 +13,11 @@
 // readahead windows instead of in-RAM traces, and the run self-checks that
 // streamed stats are byte-identical to the materialized run and that reader
 // residency stayed within the window.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -173,16 +173,15 @@ int main(int argc, char** argv) {
   bool stream = false;
   const auto parse_u64 = [&](const char* text,
                              const char* what) -> std::uint64_t {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v == 0) {
+    const auto v =
+        parse_uint(text, 1, std::numeric_limits<std::uint64_t>::max());
+    if (!v) {
       std::cerr << argv[0] << ": invalid " << what << " '" << text << "'\n"
                 << "usage: " << argv[0]
                 << " [ops] [--cores N] [--stream]\n";
       std::exit(2);
     }
-    return v;
+    return *v;
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cores") == 0 && i + 1 < argc) {

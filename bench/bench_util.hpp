@@ -1,15 +1,16 @@
 // Shared helpers for the paper-reproduction bench binaries.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "sim/runner.hpp"
+#include "common/cli.hpp"
 #include "common/sweep.hpp"
+#include "sim/runner.hpp"
 #include "sys/memory_system.hpp"
 #include "trace/generator.hpp"
 #include "trace/spec_profiles.hpp"
@@ -19,22 +20,20 @@ namespace fgnvm::benchutil {
 /// Memory ops simulated per benchmark: argv[1] if given, else env
 /// FGNVM_BENCH_OPS, else `dflt`. Keeps `ctest`-style quick runs and full
 /// paper-scale runs in one binary. Rejects non-numeric, zero, or
-/// out-of-range counts with a usage message (exit 2) instead of letting
-/// std::stoull throw out of main.
+/// out-of-range counts with a usage message (exit 2).
 inline std::uint64_t ops_from_args(int argc, char** argv,
                                    std::uint64_t dflt = 30000) {
   const auto parse = [&](const char* text, const char* what) -> std::uint64_t {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v == 0) {
+    const auto v =
+        parse_uint(text, 1, std::numeric_limits<std::uint64_t>::max());
+    if (!v) {
       std::cerr << argv[0] << ": invalid " << what << " '" << text
                 << "' — expected a positive integer memory-op count\n"
                 << "usage: " << argv[0]
                 << " [ops] (or set FGNVM_BENCH_OPS=<ops>)\n";
       std::exit(2);
     }
-    return v;
+    return *v;
   };
   if (argc > 1) return parse(argv[1], "ops argument");
   if (const char* env = std::getenv("FGNVM_BENCH_OPS")) {

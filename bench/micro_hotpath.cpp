@@ -257,12 +257,9 @@ void BM_MultiChannelAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiChannelAdvance)->Unit(benchmark::kMicrosecond);
 
-// SoA-vs-AoS candidate probing: the pre-index scheduler walked pooled
-// MemRequest objects and probed through the virtual bank interface; the
-// request index caches each slot's (sag, row, line-CD mask) image in
-// parallel arrays and probes the concrete bank's inline keyed variants.
-// Same 64-candidate scan, same answers — the pair measures the layout +
-// dispatch difference in isolation.
+// Candidate probing as the scheduler's scans do it: the request index
+// caches each slot's (sag, row, line-CD mask) image in parallel arrays and
+// probes the concrete bank's inline keyed variants over a 64-candidate scan.
 
 std::vector<mem::DecodedAddr> probe_scan_addrs(const mem::MemGeometry& geo) {
   const mem::AddressDecoder dec(geo);
@@ -274,29 +271,6 @@ std::vector<mem::DecodedAddr> probe_scan_addrs(const mem::MemGeometry& geo) {
   }
   return addrs;
 }
-
-void BM_ProbeScanAoS(benchmark::State& state) {
-  const mem::MemGeometry geo = bench_geometry(8, 8);
-  nvm::FgNvmBank bank(geo, mem::TimingParams{}, nvm::AccessModes::all_on());
-  const nvm::Bank& vbank = bank;  // virtual dispatch, as the old scans used
-  std::vector<mem::MemRequest> pool;
-  for (const mem::DecodedAddr& a : probe_scan_addrs(geo)) {
-    mem::MemRequest r;
-    r.addr = a;
-    pool.push_back(r);
-  }
-  Cycle now = 0;
-  for (auto _ : state) {
-    Cycle m = kNeverCycle;
-    for (const mem::MemRequest& r : pool) {
-      m = std::min(m, vbank.earliest_column(r.addr, OpType::kRead, now));
-    }
-    benchmark::DoNotOptimize(m);
-    ++now;
-  }
-  state.SetItemsProcessed(state.iterations() * pool.size());
-}
-BENCHMARK(BM_ProbeScanAoS);
 
 void BM_ProbeScanSoA(benchmark::State& state) {
   const mem::MemGeometry geo = bench_geometry(8, 8);

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "mem/geometry.hpp"
 #include "sim/runner.hpp"
 #include "sys/presets.hpp"
@@ -109,24 +110,31 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // Counts that become threads, sockets or channel controllers are capped;
+  // geometry validation checks --sags / --cds further.
+  constexpr std::uint64_t kMaxCount = 1024;
+  auto count = [&](int& i, const std::string& flag) {
+    return uint_flag_or_exit(argv[0], flag, need(i), 1, kMaxCount);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--unix") {
       opt.unix_path = need(i);
     } else if (a == "--tcp") {
-      opt.tcp_port = std::atoi(need(i));
+      opt.tcp_port =
+          static_cast<int>(uint_flag_or_exit(argv[0], a, need(i), 1, 65535));
     } else if (a == "--preset") {
       opt.preset = need(i);
     } else if (a == "--sags") {
-      opt.sags = std::strtoull(need(i), nullptr, 10);
+      opt.sags = count(i, a);
     } else if (a == "--cds") {
-      opt.cds = std::strtoull(need(i), nullptr, 10);
+      opt.cds = count(i, a);
     } else if (a == "--channels") {
-      opt.channels = std::strtoull(need(i), nullptr, 10);
+      opt.channels = count(i, a);
     } else if (a == "--shards") {
-      opt.shards = std::strtoull(need(i), nullptr, 10);
+      opt.shards = count(i, a);
     } else if (a == "--clients") {
-      opt.clients = std::strtoull(need(i), nullptr, 10);
+      opt.clients = count(i, a);
     } else if (a == "--serial") {
       opt.serial = true;
     } else if (a == "--selftest") {
@@ -135,7 +143,6 @@ Options parse_args(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (opt.clients == 0) usage(argv[0]);
   if (!opt.selftest && opt.unix_path.empty() && opt.tcp_port < 0) {
     usage(argv[0]);
   }

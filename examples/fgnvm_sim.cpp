@@ -10,11 +10,13 @@
 //   fgnvm_sim --config configs/fgnvm_4x4.cfg --workload milc --obs out/milc
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <variant>
 
+#include "common/cli.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "sys/hybrid.hpp"
@@ -71,7 +73,8 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg == "--ops") {
       const auto v = next();
       if (!v) return std::nullopt;
-      o.ops = std::stoull(*v);
+      o.ops = fgnvm::uint_flag_or_exit(
+          argv[0], arg, *v, 1, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--json") {
       o.json_path = next();
     } else if (arg == "--obs") {

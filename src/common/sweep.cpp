@@ -1,11 +1,11 @@
 #include "common/sweep.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 
 namespace fgnvm::sim {
@@ -28,17 +28,12 @@ std::uint64_t clamp_thread_count(std::uint64_t requested, const char* what) {
 unsigned sweep_thread_count(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("FGNVM_THREADS")) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(env, &end, 10);
-    // Digits only: strtol alone would also take leading blanks and a sign.
-    constexpr long kMax = std::numeric_limits<unsigned>::max();
-    if (*env < '0' || *env > '9' || *end != '\0' || errno == ERANGE ||
-        v <= 0 || v > kMax) {
+    const auto v = parse_uint(env, 1, std::numeric_limits<unsigned>::max());
+    if (!v) {
       throw std::runtime_error(std::string("FGNVM_THREADS='") + env +
                                "' is not a positive integer");
     }
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

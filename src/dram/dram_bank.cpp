@@ -30,38 +30,6 @@ DramBank::DramBank(const mem::MemGeometry& geometry,
     throw std::runtime_error(
         "DramBank: DRAM cannot subdivide columns (num_cds must be 1)");
   }
-  next_refresh_ = timing_.tREFI;  // first refresh one interval in
-}
-
-Cycle DramBank::refresh_clear(Cycle t) const {
-  if (timing_.tREFI == 0) return t;
-  // Perform any refreshes whose deadline has passed; each occupies the
-  // whole bank for tRFC. Deadlines stack if the bank was queried rarely.
-  while (next_refresh_ <= t) {
-    const Cycle start = std::max(next_refresh_, refresh_busy_until_);
-    refresh_busy_until_ = start + timing_.tRFC;
-    next_refresh_ += timing_.tREFI;
-    ++refreshes_;
-  }
-  return std::max(t, refresh_busy_until_);
-}
-
-bool DramBank::segments_sensed(const mem::DecodedAddr& a) const {
-  return subs_[a.sag].open_row == a.row;
-}
-
-bool DramBank::row_open(const mem::DecodedAddr& a) const {
-  return segments_sensed(a);
-}
-
-Cycle DramBank::earliest_activate(const mem::DecodedAddr& a, nvm::ActPurpose p,
-                                  Cycle now, std::uint64_t extra_cds) const {
-  // A row switch precharges implicitly (ACT with auto-precharge-style
-  // sequencing): the command can issue once restore (tRAS) and write
-  // recovery (tWR) are done; the tRP delay lands inside issue_activate.
-  // Re-activating the same subarray mid-sense is not possible, and an
-  // explicit (closed-page) precharge must have settled.
-  return earliest_activate_key(a.sag, a.row, 0, extra_cds, p, now);
 }
 
 void DramBank::issue_activate(const mem::DecodedAddr& a, nvm::ActPurpose p,
@@ -80,11 +48,6 @@ void DramBank::issue_activate(const mem::DecodedAddr& a, nvm::ActPurpose p,
   // regardless of what the request needs.
   ++stats_.acts_for_read;
   stats_.bits_sensed += geo_.row_bytes * 8;
-}
-
-Cycle DramBank::earliest_column(const mem::DecodedAddr& a, OpType op,
-                                Cycle now) const {
-  return earliest_column_key(a.sag, 0, op, now);
 }
 
 Cycle DramBank::issue_column(const mem::DecodedAddr& a, OpType op, Cycle at) {
@@ -114,14 +77,6 @@ void DramBank::close_row(const mem::DecodedAddr& a, Cycle at) {
   s.pre_done = start + timing_.tRP;
   s.open_row = kInvalidAddr;
   s.wr_until = 0;
-}
-
-Cycle DramBank::busy_until() const {
-  Cycle t = refresh_busy_until_;
-  for (const Subarray& s : subs_) {
-    t = std::max({t, s.act_done, s.wr_until});
-  }
-  return t;
 }
 
 }  // namespace fgnvm::dram

@@ -10,9 +10,13 @@
 // activation of a row) impractical, which is exactly the design space FgNVM
 // opens for NVM.
 //
-// Implements the same fgnvm::nvm::Bank interface so the controller and
-// runner work unchanged. Refresh is modeled as self-contained auto-refresh:
-// every tREFI the bank blocks for tRFC (pipelined catch-up when idle).
+// Meets the same bank contract as nvm::FgNvmBank (nvm/bank.hpp), so the
+// controller and runner work unchanged. Refresh is modeled as
+// self-contained auto-refresh: every tREFI the bank blocks for tRFC, and
+// deadlines that land inside a running refresh stack behind it. The
+// refresh schedule is a closed form of time (refresh_end), so the bank's
+// probes are pure timing like FgNVM's and the scheduler caches them the
+// same way.
 #pragma once
 
 #include <algorithm>
@@ -26,25 +30,42 @@ namespace fgnvm::dram {
 /// DDR3-1600-like timing expressed at the simulator's controller clock.
 mem::TimingParams ddr3_timing(double clock_mhz = 400.0);
 
-class DramBank final : public nvm::Bank {
+class DramBank final {
  public:
   /// `geometry.num_sags` is the subarray count (1 == conventional DRAM
   /// bank); `geometry.num_cds` must be 1 (no column subdivision in DRAM).
   DramBank(const mem::MemGeometry& geometry, const mem::TimingParams& timing);
 
-  bool segments_sensed(const mem::DecodedAddr& a) const override;
-  bool row_open(const mem::DecodedAddr& a) const override;
-  std::uint64_t open_row_of(std::uint64_t sag) const override {
+  bool segments_sensed(const mem::DecodedAddr& a) const {
+    return subs_[a.sag].open_row == a.row;
+  }
+  bool row_open(const mem::DecodedAddr& a) const { return segments_sensed(a); }
+  std::uint64_t open_row_of(std::uint64_t sag) const {
     return subs_[sag].open_row;
   }
-  // pure_timing() stays false: refresh_clear() advances mutable refresh
-  // bookkeeping as queries cross tREFI deadlines, so earliest_* results do
-  // not time-shift — the scheduler recomputes this bank's candidates at the
-  // querying cycle instead of caching them.
+
+  /// First cycle >= t outside a refresh window. Deadlines fall at k*tREFI
+  /// (k >= 1) and each refresh starts at max(deadline, previous end), so
+  /// the k-th refresh ends at max(k*tREFI + tRFC, tREFI + k*tRFC): the
+  /// later of "on time" and "every refresh since the first back to back".
+  Cycle refresh_end(Cycle t) const {
+    if (timing_.tREFI == 0 || t < timing_.tREFI) return t;
+    const Cycle k = t / timing_.tREFI;
+    return std::max({t, k * timing_.tREFI + timing_.tRFC,
+                     timing_.tREFI + k * timing_.tRFC});
+  }
+
+  // The address-level probes include refresh; the keyed probes below leave
+  // it to the caller, which applies it once per channel (DESIGN.md §8).
   Cycle earliest_activate(const mem::DecodedAddr& a, nvm::ActPurpose p,
-                          Cycle now, std::uint64_t extra_cds = 0) const override;
+                          Cycle now, std::uint64_t extra_cds = 0) const {
+    return earliest_activate_key(a.sag, a.row, 0, extra_cds, p,
+                                 refresh_end(now));
+  }
   Cycle earliest_column(const mem::DecodedAddr& a, OpType op,
-                        Cycle now) const override;
+                        Cycle now) const {
+    return earliest_column_key(a.sag, 0, op, refresh_end(now));
+  }
 
   // Keyed probe variants with the same signatures the statically-dispatched
   // controller uses for FgNvmBank (DESIGN.md §12): keyed by the request
@@ -56,32 +77,33 @@ class DramBank final : public nvm::Bank {
   }
   Cycle earliest_column_key(std::uint64_t sag, std::uint64_t /*line_mask*/,
                             OpType op, Cycle now) const {
-    return column_base_key(sag, op, now);
+    return std::max(column_floor(), column_sag_key(sag, op, now));
   }
   Cycle earliest_activate_key(std::uint64_t sag, std::uint64_t row,
                               std::uint64_t line_mask, std::uint64_t extra_cds,
                               nvm::ActPurpose p, Cycle now) const {
     return activate_sag_key(sag, row, line_mask, extra_cds, p, now);
   }
-  // Floor / SAG-key split of the keyed probes (see FgNvmBank). This bank's
-  // candidates are recomputed at every query (pure_timing() is false), so
-  // nothing caches SAG keys and every term, tCCD and refresh included,
-  // lives in the SAG key: the floors are 0.
-  Cycle column_floor() const { return 0; }
+  // Floor / SAG-key split of the keyed probes (see FgNvmBank). The column
+  // floor is the bank-wide tCCD window; DRAM has no bank-wide ACT lock.
+  Cycle column_floor() const {
+    return any_col_issued_ ? last_col_ + timing_.tCCD : 0;
+  }
   Cycle activate_floor() const { return 0; }
   Cycle column_sag_key(std::uint64_t sag, OpType /*op*/, Cycle now) const {
-    const Subarray& s = subs_[sag];
-    Cycle t = refresh_clear(now);
-    t = std::max(t, s.act_done);
-    if (any_col_issued_) t = std::max(t, last_col_ + timing_.tCCD);
-    return t;
+    return std::max(now, subs_[sag].act_done);
   }
+  /// A row switch precharges implicitly (ACT with auto-precharge-style
+  /// sequencing): the command can issue once restore (tRAS) and write
+  /// recovery (tWR) are done; the tRP delay lands inside issue_activate.
+  /// Re-activating the same subarray mid-sense is not possible, and an
+  /// explicit (closed-page) precharge must have settled.
   Cycle activate_sag_key(std::uint64_t sag, std::uint64_t row,
                          std::uint64_t /*line_mask*/,
                          std::uint64_t /*extra_cds*/, nvm::ActPurpose /*p*/,
                          Cycle now) const {
     const Subarray& s = subs_[sag];
-    Cycle t = refresh_clear(now);
+    Cycle t = now;
     if (s.open_row != kInvalidAddr && s.open_row != row) {
       t = std::max({t, s.ras_until, s.wr_until});
     }
@@ -93,23 +115,33 @@ class DramBank final : public nvm::Bank {
                              std::uint64_t /*extra_cds*/) const {
     return subs_[sag].open_row == row ? 0 : 1;
   }
-  // DRAM column timing has no per-member (CD) component, so the decomposed
-  // probe is the base alone.
-  Cycle column_base_key(std::uint64_t sag, OpType op, Cycle now) const {
-    return column_sag_key(sag, op, now);
-  }
+  // DRAM column timing has no per-member (CD) component.
   Cycle column_fold_key(std::uint64_t /*line_mask*/, OpType /*op*/,
                         Cycle base) const {
     return base;
   }
   void issue_activate(const mem::DecodedAddr& a, nvm::ActPurpose p, Cycle at,
-                      std::uint64_t extra_cds = 0) override;
-  Cycle issue_column(const mem::DecodedAddr& a, OpType op, Cycle at) override;
-  void close_row(const mem::DecodedAddr& a, Cycle at) override;
-  Cycle busy_until() const override;
-  const nvm::BankStats& stats() const override { return stats_; }
+                      std::uint64_t extra_cds = 0);
+  Cycle issue_column(const mem::DecodedAddr& a, OpType op, Cycle at);
+  void close_row(const mem::DecodedAddr& a, Cycle at);
+  const nvm::BankStats& stats() const { return stats_; }
 
-  std::uint64_t refreshes_performed() const { return refreshes_; }
+  // ---- observability (fgnvm::obs): a coarse attribution, since DRAM has
+  // no 2-D structure to report on.
+  obs::BlockCause activate_block_cause(const mem::DecodedAddr& a,
+                                       nvm::ActPurpose p, Cycle now,
+                                       std::uint64_t extra_cds = 0) const {
+    return earliest_activate(a, p, now, extra_cds) > now
+               ? obs::BlockCause::kSagBusy
+               : obs::BlockCause::kNone;
+  }
+  obs::BlockCause column_block_cause(const mem::DecodedAddr& a, OpType op,
+                                     Cycle now) const {
+    return earliest_column(a, op, now) > now ? obs::BlockCause::kCdBusy
+                                             : obs::BlockCause::kNone;
+  }
+  std::uint64_t active_sags(Cycle /*now*/) const { return 0; }
+  std::uint64_t active_cds(Cycle /*now*/) const { return 0; }
 
  private:
   struct Subarray {
@@ -120,19 +152,11 @@ class DramBank final : public nvm::Bank {
     Cycle pre_done = 0;    // explicit (closed-page) precharge completes
   };
 
-  /// Earliest cycle >= t not inside a refresh window; advances the refresh
-  /// schedule bookkeeping (mutable because queries may cross deadlines).
-  Cycle refresh_clear(Cycle t) const;
-
   mem::MemGeometry geo_;
   mem::TimingParams timing_;
   std::vector<Subarray> subs_;
   Cycle last_col_ = 0;
   bool any_col_issued_ = false;
-
-  mutable Cycle next_refresh_ = 0;
-  mutable Cycle refresh_busy_until_ = 0;
-  mutable std::uint64_t refreshes_ = 0;
 
   nvm::BankStats stats_;
 };

@@ -40,6 +40,13 @@ struct EnergyBreakdown {
   double background_pj = 0.0;
 
   double total_pj() const { return sense_pj + write_pj + background_pj; }
+
+  EnergyBreakdown& operator+=(const EnergyBreakdown& o) {
+    sense_pj += o.sense_pj;
+    write_pj += o.write_pj;
+    background_pj += o.background_pj;
+    return *this;
+  }
 };
 
 class EnergyModel {
@@ -49,20 +56,8 @@ class EnergyModel {
   const EnergyParams& params() const { return params_; }
 
   /// Converts one bank's activity counters plus elapsed time into energy.
+  /// Channels sum these per bank (sched::ControllerBase::energy).
   EnergyBreakdown bank_energy(const BankStats& stats, Cycle elapsed) const;
-
-  /// Sums energy over a set of banks sharing the same elapsed time.
-  template <typename BankRange>
-  EnergyBreakdown total_energy(const BankRange& banks, Cycle elapsed) const {
-    EnergyBreakdown sum;
-    for (const auto& bank : banks) {
-      const EnergyBreakdown e = bank_energy(bank->stats(), elapsed);
-      sum.sense_pj += e.sense_pj;
-      sum.write_pj += e.write_pj;
-      sum.background_pj += e.background_pj;
-    }
-    return sum;
-  }
 
  private:
   EnergyParams params_;

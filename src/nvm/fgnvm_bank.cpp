@@ -110,14 +110,6 @@ void FgNvmBank::close_row(const mem::DecodedAddr& a, Cycle at) {
   s.sensed = 0;
 }
 
-Cycle FgNvmBank::busy_until() const {
-  Cycle t = bank_lock_;
-  for (const SagState& s : sags_) t = std::max(t, s.lock_until);
-  for (Cycle c : cd_sense_lock_) t = std::max(t, c);
-  for (Cycle c : cd_write_lock_) t = std::max(t, c);
-  return t;
-}
-
 obs::BlockCause FgNvmBank::activate_block_cause(const mem::DecodedAddr& a,
                                                 ActPurpose p, Cycle now,
                                                 std::uint64_t extra_cds) const {

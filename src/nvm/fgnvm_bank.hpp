@@ -27,7 +27,7 @@
 
 namespace fgnvm::nvm {
 
-class FgNvmBank final : public Bank {
+class FgNvmBank final {
  public:
   FgNvmBank(const mem::MemGeometry& geometry, const mem::TimingParams& timing,
             AccessModes modes);
@@ -35,16 +35,18 @@ class FgNvmBank final : public Bank {
   // The scheduler's hot candidate probes are defined inline below the class
   // so the statically-dispatched controller (sched::ControllerT<FgNvmBank>)
   // can inline them into its selection loops across the library boundary.
-  bool segments_sensed(const mem::DecodedAddr& a) const override;
-  bool row_open(const mem::DecodedAddr& a) const override;
-  std::uint64_t open_row_of(std::uint64_t sag) const override {
-    return open_row(sag);
+  bool segments_sensed(const mem::DecodedAddr& a) const;
+  bool row_open(const mem::DecodedAddr& a) const;
+  /// Open row of a SAG, or kInvalidAddr if none.
+  std::uint64_t open_row_of(std::uint64_t sag) const {
+    return sags_[sag].open_row;
   }
-  bool pure_timing() const override { return true; }
+  /// NVM needs no refresh: no cycle is ever inside a refresh window.
+  Cycle refresh_end(Cycle t) const { return t; }
   Cycle earliest_activate(const mem::DecodedAddr& a, ActPurpose p, Cycle now,
-                          std::uint64_t extra_cds = 0) const override;
+                          std::uint64_t extra_cds = 0) const;
   Cycle earliest_column(const mem::DecodedAddr& a, OpType op,
-                        Cycle now) const override;
+                        Cycle now) const;
 
   // Keyed probe variants (DESIGN.md §12): same answers as the DecodedAddr
   // overloads, but keyed by the (sag, row, line-CD mask) image the request
@@ -93,20 +95,17 @@ class FgNvmBank final : public Bank {
     return cds;
   }
 
-  // Decomposed column probe for batched same-SAG scans: column_base_key is
-  // the member-independent part (floor, SAG lock, sense latch), shared by
-  // every member of a (bank, SAG) group; column_fold_key folds one member's
-  // CD locks on top. For any member,
-  //   earliest_column_key(sag, m, op, now)
-  //     == column_fold_key(m, op, column_base_key(sag, op, now)).
+  // Decomposed column probe for batched same-SAG scans: the floor and
+  // column_sag_key (SAG lock, sense latch) are shared by every member of a
+  // (bank, SAG) group; column_fold_key folds one member's CD locks on top.
+  // For any member,
+  //   earliest_column_key(sag, m, op, now) == column_fold_key(m, op,
+  //       max(column_floor(), column_sag_key(sag, op, now))).
   Cycle column_sag_key(std::uint64_t sag, OpType op, Cycle now) const {
     const SagState& s = sags_[sag];
     Cycle t = std::max(now, s.lock_until);
     if (op == OpType::kRead) t = std::max(t, s.sense_ready);
     return t;
-  }
-  Cycle column_base_key(std::uint64_t sag, OpType op, Cycle now) const {
-    return std::max(column_floor(), column_sag_key(sag, op, now));
   }
   Cycle column_fold_key(std::uint64_t line_mask, OpType op, Cycle base) const {
     std::uint64_t cds = line_mask;
@@ -127,27 +126,20 @@ class FgNvmBank final : public Bank {
     return base;
   }
   void issue_activate(const mem::DecodedAddr& a, ActPurpose p, Cycle at,
-                      std::uint64_t extra_cds = 0) override;
-  Cycle issue_column(const mem::DecodedAddr& a, OpType op, Cycle at) override;
-  void close_row(const mem::DecodedAddr& a, Cycle at) override;
-  Cycle busy_until() const override;
+                      std::uint64_t extra_cds = 0);
+  Cycle issue_column(const mem::DecodedAddr& a, OpType op, Cycle at);
+  void close_row(const mem::DecodedAddr& a, Cycle at);
 
   obs::BlockCause activate_block_cause(const mem::DecodedAddr& a, ActPurpose p,
                                        Cycle now,
-                                       std::uint64_t extra_cds = 0) const override;
+                                       std::uint64_t extra_cds = 0) const;
   obs::BlockCause column_block_cause(const mem::DecodedAddr& a, OpType op,
-                                     Cycle now) const override;
-  std::uint64_t active_sags(Cycle now) const override;
-  std::uint64_t active_cds(Cycle now) const override;
+                                     Cycle now) const;
+  std::uint64_t active_sags(Cycle now) const;
+  std::uint64_t active_cds(Cycle now) const;
 
-  const BankStats& stats() const override { return stats_; }
-  const AccessModes& modes() const { return modes_; }
+  const BankStats& stats() const { return stats_; }
 
-  /// Open row of a SAG, or kInvalidAddr if none. Inline: the scheduler's
-  /// group scans call this once per active group per selection pass.
-  std::uint64_t open_row(std::uint64_t sag) const {
-    return sags_[sag].open_row;
-  }
   /// Sensed-CD bitmask of a SAG's open row. Exposed for tests.
   std::uint64_t sensed_mask(std::uint64_t sag) const {
     return sags_[sag].sensed;
@@ -249,7 +241,8 @@ inline Cycle FgNvmBank::earliest_column_key(std::uint64_t sag,
   // wordline (SAG) plus exclusive use of the CD bitline/IO path — a write
   // cannot overlap sensing *or* another write there. Both split into the
   // member-independent base and the per-CD fold.
-  return column_fold_key(line_mask, op, column_base_key(sag, op, now));
+  return column_fold_key(
+      line_mask, op, std::max(column_floor(), column_sag_key(sag, op, now)));
 }
 
 inline Cycle FgNvmBank::earliest_column(const mem::DecodedAddr& a, OpType op,

@@ -24,20 +24,18 @@
 // decision and next_event value is recomputed both ways and compared.
 //
 // Bank dispatch is static (DESIGN.md §9): the controller is a class template
-// over the concrete bank type, so the hot candidate probes (earliest_*,
-// segments_sensed, open_row_of) resolve at compile time — final concrete
-// bank classes devirtualize, and header-inline queries inline into the
-// selection loops. ControllerBase is the thin type-erased facade
-// sys::MemorySystem drives (one virtual call per due-channel tick, none per
-// candidate). The two instantiations (nvm::FgNvmBank, dram::DramBank) are
-// explicit — see controller.cpp; ControllerT bodies live in
-// controller_impl.hpp and are not pulled into user TUs.
+// over the concrete bank type and owns its banks by value, so the hot
+// candidate probes (earliest_*, segments_sensed, open_row_of) resolve at
+// compile time and the header-inline ones inline into the selection loops.
+// ControllerBase is the thin type-erased facade sys::MemorySystem drives
+// (one virtual call per due-channel tick, none per candidate). The two
+// instantiations (nvm::FgNvmBank, dram::DramBank) are explicit — see
+// controller.cpp; ControllerT bodies live in controller_impl.hpp and are
+// not pulled into user TUs.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,6 +46,7 @@
 #include "mem/request.hpp"
 #include "mem/timing.hpp"
 #include "nvm/bank.hpp"
+#include "nvm/energy.hpp"
 #include "obs/observer.hpp"
 #include "sched/request_index.hpp"
 #include "sched/write_queue.hpp"
@@ -96,9 +95,6 @@ struct ControllerConfig {
   static ControllerConfig from_config(const Config& cfg);
 };
 
-/// Factory for the banks of one channel (rank-major order).
-using BankFactory = std::function<std::unique_ptr<nvm::Bank>()>;
-
 namespace detail {
 /// FGNVM_PARANOID set, non-empty and not "0". The one parser of that
 /// variable; the runner, the controllers and the tile topology call it.
@@ -125,12 +121,9 @@ class ControllerBase {
   /// retires finished reads into the completed() list.
   virtual void tick(Cycle now) = 0;
 
-  /// Reads whose data burst finished at or before the last tick. The caller
-  /// takes ownership (the list is cleared by this call).
-  virtual std::vector<mem::MemRequest> take_completed() = 0;
-
-  /// Allocation-free variant: appends the completed reads to `out` and
-  /// clears the internal list. Hot-path API for the simulation loops.
+  /// Appends the reads whose data burst finished at or before the last tick
+  /// to `out` and clears the internal list. Allocation-free once `out` has
+  /// grown.
   virtual void drain_completed(std::vector<mem::MemRequest>& out) = 0;
 
   /// Earliest cycle > now at which tick() could change any state or stat,
@@ -169,7 +162,17 @@ class ControllerBase {
 
   virtual bool idle() const = 0;
 
-  virtual const std::vector<std::unique_ptr<nvm::Bank>>& banks() const = 0;
+  /// Activity counters summed over this channel's banks.
+  virtual nvm::BankStats bank_totals() const = 0;
+  /// Section-6 energy of this channel's banks over `elapsed` cycles, summed
+  /// in bank order. Callers add channels in channel order, so the
+  /// floating-point fold is the same in MemorySystem and tile::Topology.
+  virtual nvm::EnergyBreakdown energy(const nvm::EnergyModel& model,
+                                      Cycle elapsed) const = 0;
+  /// Open row of `sag` in the channel's `bank`-th bank (rank-major), or
+  /// kInvalidAddr.
+  virtual std::uint64_t open_row_of(std::uint64_t bank,
+                                    std::uint64_t sag) const = 0;
   virtual const mem::DataBus& bus() const = 0;
   virtual const WriteQueue& write_queue() const = 0;
   virtual const StatSet& stats() const = 0;
@@ -192,20 +195,19 @@ class ControllerBase {
   virtual void sample_obs(Cycle now, obs::ChannelSample& s) const = 0;
 };
 
-/// The controller, generic over the concrete bank type. BankT is a final
-/// class derived from nvm::Bank; the factory must produce exactly BankT
-/// instances. Both instantiations are explicit (see the extern template
+/// The controller, generic over the concrete bank type (the bank contract
+/// is in nvm/bank.hpp). Every bank of the channel starts as a copy of
+/// `prototype`. Both instantiations are explicit (see the extern template
 /// declarations below).
 template <typename BankT>
 class ControllerT final : public ControllerBase {
  public:
   ControllerT(const mem::MemGeometry& geometry, const mem::TimingParams& timing,
-              const ControllerConfig& cfg, const BankFactory& make_bank);
+              const ControllerConfig& cfg, const BankT& prototype);
 
   bool can_accept(OpType op) const override;
   void enqueue(mem::MemRequest req, Cycle now) override;
   void tick(Cycle now) override;
-  std::vector<mem::MemRequest> take_completed() override;
   void drain_completed(std::vector<mem::MemRequest>& out) override;
   Cycle next_event(Cycle now) const override;
   Cycle advance_to(Cycle due, Cycle horizon) override;
@@ -213,9 +215,15 @@ class ControllerT final : public ControllerBase {
   Cycle completion_bound(Cycle now) const override;
   bool idle() const override;
 
-  const std::vector<std::unique_ptr<nvm::Bank>>& banks() const override {
-    return banks_;
+  nvm::BankStats bank_totals() const override;
+  nvm::EnergyBreakdown energy(const nvm::EnergyModel& model,
+                              Cycle elapsed) const override;
+  std::uint64_t open_row_of(std::uint64_t bank,
+                            std::uint64_t sag) const override {
+    return banks_[bank].open_row_of(sag);
   }
+  /// The channel's banks, rank-major (tests probe their timing directly).
+  const std::vector<BankT>& banks() const { return banks_; }
   const mem::DataBus& bus() const override { return bus_; }
   const WriteQueue& write_queue() const override { return writes_; }
   const StatSet& stats() const override { return stats_; }
@@ -252,11 +260,11 @@ class ControllerT final : public ControllerBase {
   };
   /// Per-bank next-event candidates (DESIGN.md §8): the fold of the bank's
   /// group entries below with the bank floors applied. Minima are computed
-  /// with a query time of 0 for pure_timing() banks (so they are valid at
-  /// any later cycle, clamped at query time) and at the actual querying
-  /// cycle otherwise. Flagged/plain split the sticky bus_blocked
-  /// populations: only flagged candidates fold in bus availability, which
-  /// is a query-time global and therefore distributes over the min.
+  /// with a query time of 0 (pure timing makes them valid at any later
+  /// cycle, clamped at query time). Flagged/plain split the sticky
+  /// bus_blocked populations: only flagged candidates fold in bus
+  /// availability, which is a query-time global and therefore distributes
+  /// over the min; refresh_end is another such global.
   struct BankCand {
     Cycle read_col_plain = kNeverCycle;
     Cycle read_col_flagged = kNeverCycle;
@@ -328,18 +336,17 @@ class ControllerT final : public ControllerBase {
   /// wait on).
   void mark_cd_locks(std::uint64_t b, std::uint64_t g, std::uint64_t cds,
                      bool write) const;
-  /// Recomputes bank `b`'s dirty group halves (all of them with `force`)
-  /// at query time `tq` and refolds the bank.
-  void refresh_bank(std::uint64_t b, Cycle tq, bool force) const;
+  /// Recomputes bank `b`'s dirty group halves and refolds the bank.
+  void refresh_bank(std::uint64_t b) const;
   static void fold_min(BankCand& acc, const BankCand& c);
   void refresh_global() const;
   /// Cross-check only: recomputes every active group and bank fold from
   /// scratch and throws on any stale cached entry.
   void audit_cand_cache() const;
-  GroupReadCand compute_read_group(std::uint64_t b, std::uint32_t g,
-                                   Cycle tq) const;
-  GroupWriteCand compute_write_group(std::uint64_t b, std::uint32_t g,
-                                     Cycle tq) const;
+  GroupReadCand compute_read_group(std::uint64_t b, std::uint32_t g) const;
+  GroupWriteCand compute_write_group(std::uint64_t b, std::uint32_t g) const;
+  /// The channel's refresh_end (one timing, one schedule for every bank).
+  Cycle refresh_end(Cycle t) const { return banks_.front().refresh_end(t); }
 
   /// In-flight writes still programming at `now` (done > now): a suffix of
   /// the write_done_times_ FIFO, and after tick(now)'s expiry all of it.
@@ -418,10 +425,7 @@ class ControllerT final : public ControllerBase {
   mem::TimingParams timing_;
   ControllerConfig cfg_;
 
-  std::vector<std::unique_ptr<nvm::Bank>> banks_;
-  std::vector<BankT*> typed_;  // banks_ downcast once at construction; the
-                               // hot paths probe through these so the calls
-                               // devirtualize (BankT final) and inline
+  std::vector<BankT> banks_;  // rank-major
   mem::DataBus bus_;
 
   // Queued reads: stable slot pool (sized once, never reallocates — slot
@@ -452,11 +456,9 @@ class ControllerT final : public ControllerBase {
   mutable std::vector<GroupWriteCand> group_wcand_;
   mutable std::vector<std::uint8_t> group_dirty_;    // kReadHalf | kWriteHalf
   mutable std::vector<std::uint8_t> bank_dirty_;     // bank_cand_ needs a refold
-  bool all_pure_ = false;                // every bank is pure_timing()
   // Fold of bank_cand_ over all banks, valid while no group has been marked
-  // since the fold (only ever valid when all_pure_). Lets the selectors
-  // prove "nothing issuable, nothing to flag" in O(1) without touching a
-  // single group.
+  // since the fold. Lets the selectors prove "nothing issuable, nothing to
+  // flag" in O(1) without touching a single group.
   mutable BankCand global_cand_;
   mutable bool global_valid_ = false;
   // next_event_internal memo: the value at cycle ne_memo_now_, dropped by

@@ -1,13 +1,13 @@
 // ControllerT member definitions. Included only by TUs that explicitly
 // instantiate the template (controller.cpp for the shipped bank types) —
 // user code sees controller.hpp's extern template declarations instead.
-// BankT must be complete wherever this header is instantiated, and must
-// provide the keyed probes, the decomposed column probe (column_base_key /
-// column_fold_key, see FgNvmBank) and its floor / SAG-key split
-// (column_floor, activate_floor, column_sag_key, activate_sag_key,
-// activate_cds): the row-list scans hoist the member-independent base out
-// of each walk and fold only the per-member CD locks inside it, and the
-// candidate cache stores SAG keys with the floors applied on read.
+// BankT must be complete wherever this header is instantiated and must meet
+// the bank contract of nvm/bank.hpp: the row-list scans hoist the
+// member-independent column base out of each walk and fold only the
+// per-member CD locks inside it, and the candidate cache stores SAG keys
+// computed at t = 0, with the bank floors applied on read and the channel's
+// refresh_end applied at query time (the selectors return early inside a
+// refresh window, next_event maxes it into the bank candidates).
 #pragma once
 
 #include <algorithm>
@@ -22,26 +22,15 @@ template <typename BankT>
 ControllerT<BankT>::ControllerT(const mem::MemGeometry& geometry,
                                 const mem::TimingParams& timing,
                                 const ControllerConfig& cfg,
-                                const BankFactory& make_bank)
+                                const BankT& prototype)
     : geo_(geometry),
       timing_(timing),
       cfg_(cfg),
+      banks_(geometry.ranks_per_channel * geometry.banks_per_rank, prototype),
       bus_(cfg.bus_lanes),
       writes_(cfg.write_queue_cap, cfg.wq_high, cfg.wq_low,
               geometry.line_bytes) {
-  const std::uint64_t n = geo_.ranks_per_channel * geo_.banks_per_rank;
-  banks_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) banks_.push_back(make_bank());
-  typed_.reserve(n);
-  for (const auto& b : banks_) {
-    auto* t = dynamic_cast<BankT*>(b.get());
-    if (t == nullptr) {
-      throw std::runtime_error(
-          "ControllerT: bank factory produced a bank that is not the "
-          "instantiated concrete type");
-    }
-    typed_.push_back(t);
-  }
+  const std::uint64_t n = banks_.size();
   sag_last_read_.assign(n * geo_.num_sags, 0);
 
   // Read slot pool: fully sized from the configured queue depth so slots
@@ -60,8 +49,6 @@ ControllerT<BankT>::ControllerT(const mem::MemGeometry& geometry,
   group_wcand_.assign(n * geo_.num_sags, GroupWriteCand{});
   group_dirty_.assign(n * geo_.num_sags, 0);
   bank_dirty_.assign(n, 0);
-  all_pure_ = std::all_of(banks_.begin(), banks_.end(),
-                          [](const auto& b) { return b->pure_timing(); });
 
   inflight_reads_.reserve(cfg_.read_queue_cap);
   completed_.reserve(cfg_.read_queue_cap);
@@ -80,12 +67,12 @@ std::uint64_t ControllerT<BankT>::sag_group(const mem::DecodedAddr& a) const {
 
 template <typename BankT>
 BankT& ControllerT<BankT>::bank_of(const mem::DecodedAddr& a) {
-  return *typed_[a.rank * geo_.banks_per_rank + a.bank];
+  return banks_[bank_linear(a)];
 }
 
 template <typename BankT>
 const BankT& ControllerT<BankT>::bank_of(const mem::DecodedAddr& a) const {
-  return *typed_[a.rank * geo_.banks_per_rank + a.bank];
+  return banks_[bank_linear(a)];
 }
 
 template <typename BankT>
@@ -259,7 +246,10 @@ template <typename BankT>
 std::int32_t ControllerT<BankT>::select_read_column_indexed(
     Cycle now, std::vector<std::int32_t>& to_flag) const {
   to_flag.clear();
-  if (ridx_.empty()) return -1;
+  // Inside a refresh window no bank-ready read exists, so nothing issues
+  // and nothing is flagged. Outside it refresh_end(now) == now, and every
+  // cached gate below stays exact (max(now, x) > now iff x > now).
+  if (ridx_.empty() || refresh_end(now) > now) return -1;
   const Cycle data_start = now + timing_.tCAS;
   const bool bus_free = bus_.available(data_start);
   // Column minima that can still act at `now`: a flagged read only matters
@@ -271,14 +261,14 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
   // O(1) out: no bank has a read column candidate due yet, so there is
   // nothing to issue and nothing to flag.
   refresh_global();
-  if (global_valid_ && col_due(global_cand_.read_col_plain,
-                               global_cand_.read_col_flagged) > now) {
+  if (col_due(global_cand_.read_col_plain, global_cand_.read_col_flagged) >
+      now) {
     return -1;
   }
   if (cfg_.policy == SchedulerPolicy::kFcfs) {
     // FCFS examines the queue head only.
     const std::int32_t s = ridx_.queue_head();
-    const BankT& bank = *typed_[ridx_.bank_of(s)];
+    const BankT& bank = banks_[ridx_.bank_of(s)];
     if (!bank.segments_sensed_key(ridx_.sag(s), ridx_.row_of(s),
                                   ridx_.cds(s))) {
       return -1;
@@ -299,7 +289,7 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
     // if it is bank-ready it wins outright (and with the bus free nothing
     // gets flagged). This is the common case for a row-hitting read stream.
     const std::int32_t s = ridx_.queue_head();
-    const BankT& bank = *typed_[ridx_.bank_of(s)];
+    const BankT& bank = banks_[ridx_.bank_of(s)];
     if (bank.segments_sensed_key(ridx_.sag(s), ridx_.row_of(s),
                                  ridx_.cds(s)) &&
         bank.earliest_column_key(ridx_.sag(s), ridx_.cds(s), OpType::kRead,
@@ -310,27 +300,22 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
   std::int32_t winner = -1;
   std::uint64_t winner_seq = ~0ULL;
   const std::uint64_t nbanks = banks_.size();
-  // With every bank pure-timing, refresh_global just made the cached
-  // candidates exact; otherwise no cache is consulted.
-  const bool cand_exact = global_valid_;
   for (std::uint64_t b = 0; b < nbanks; ++b) {
     // If no column minimum of the bank that can act (see col_due) has
     // arrived yet, no member of this bank can issue or be flagged at `now`.
-    if (cand_exact && col_due(bank_cand_[b].read_col_plain,
-                              bank_cand_[b].read_col_flagged) > now) {
+    // refresh_global just made the cached candidates exact.
+    if (col_due(bank_cand_[b].read_col_plain,
+                bank_cand_[b].read_col_flagged) > now) {
       continue;
     }
-    const BankT& bank = *typed_[b];
+    const BankT& bank = banks_[b];
     const Cycle col_floor = bank.column_floor();
     for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
       // Same pruning, one group finer, off the group's cached minima with
       // the bank floor applied.
-      if (cand_exact) {
-        const GroupReadCand& gc = group_rcand_[g];
-        if (std::max(col_floor, col_due(gc.col_plain, gc.col_flagged)) >
-            now) {
-          continue;
-        }
+      const GroupReadCand& gc = group_rcand_[g];
+      if (std::max(col_floor, col_due(gc.col_plain, gc.col_flagged)) > now) {
+        continue;
       }
       // With the bus free nothing gets flagged, and every member of the
       // group is younger than its head — a head already younger than the
@@ -339,11 +324,9 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
       const std::uint64_t sag = g % geo_.num_sags;
       const std::uint64_t row = bank.open_row_of(sag);
       if (row == kInvalidAddr) continue;
-      // Hoist the member-independent half of the column probe; a member's
-      // earliest column is >= the base, so a late base rules out the whole
-      // group (both as winner and as flag candidates) in one check.
-      const Cycle col_base = bank.column_base_key(sag, OpType::kRead, now);
-      if (col_base > now) continue;
+      // The group gate passed, so some member's column is due: the
+      // member-independent base (floor, SAG lock, sense latch) is <= now,
+      // and a member's earliest column is its CD-lock fold over `now`.
       for (std::int32_t s = ridx_.row_head(b, row); s >= 0;
            s = ridx_.row_next(s)) {
         ridx_.prefetch(ridx_.row_next(s));
@@ -354,8 +337,7 @@ std::int32_t ControllerT<BankT>::select_read_column_indexed(
         // range, so every (bank, row) list member shares the group's SAG.
         if (bus_ok ? ridx_.seq(s) >= winner_seq : ridx_.flagged(s)) continue;
         if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
-        if (bank.column_fold_key(ridx_.cds(s), OpType::kRead, col_base) >
-            now) {
+        if (bank.column_fold_key(ridx_.cds(s), OpType::kRead, now) > now) {
           continue;
         }
         if (bus_ok) {
@@ -512,10 +494,11 @@ auto ControllerT<BankT>::select_read_activate_indexed(Cycle now) const
   // younger than the best passing candidate. The global queue head (min-seq
   // over everything, and always its group's head) gets a first look: if it
   // passes, the group scan is skipped entirely.
-  if (ridx_.empty()) return {-1, 0};
+  // Nothing activates inside a refresh window.
+  if (ridx_.empty() || refresh_end(now) > now) return {-1, 0};
   // O(1) out: no group head anywhere can activate yet.
   refresh_global();
-  if (global_valid_ && global_cand_.read_act > now) return {-1, 0};
+  if (global_cand_.read_act > now) return {-1, 0};
   ActPick pick{-1, 0};
   std::uint64_t winner_seq = ~0ULL;
   const bool aug = cfg_.policy == SchedulerPolicy::kFrfcfsAugmented;
@@ -524,7 +507,7 @@ auto ControllerT<BankT>::select_read_activate_indexed(Cycle now) const
     const std::uint64_t b = ridx_.bank_of(s);
     const std::uint64_t sag = ridx_.sag(s);
     const std::uint64_t row = ridx_.row_of(s);
-    const BankT& bank = *typed_[b];
+    const BankT& bank = banks_[b];
     if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) {
       // Demand-aggregated partial activation: the maintained (bank, row)
       // CD mask is exactly the OR the former list walk computed.
@@ -536,29 +519,17 @@ auto ControllerT<BankT>::select_read_activate_indexed(Cycle now) const
     }
   }
   const std::uint64_t nbanks = banks_.size();
-  const bool cand_exact = global_valid_;  // see select_read_column_indexed
   for (std::uint64_t b = 0; b < nbanks; ++b) {
     // Banks with no ACT candidate due yet cannot win.
-    if (cand_exact && bank_cand_[b].read_act > now) continue;
-    const BankT& bank = *typed_[b];
+    if (bank_cand_[b].read_act > now) continue;
+    const BankT& bank = banks_[b];
     const Cycle act_floor = bank.activate_floor();
     for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
       const std::int32_t s = ridx_.group_head(g);
       if (ridx_.seq(s) >= winner_seq) continue;
-      if (cand_exact) {
-        // The exact cached ACT candidate is the head's sensed/activate
-        // probe, floor applied.
-        if (std::max(act_floor, group_rcand_[g].act) > now) continue;
-      } else {
-        const std::uint64_t sag = ridx_.sag(s);
-        const std::uint64_t row = ridx_.row_of(s);
-        if (bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
-        const std::uint64_t extra_cds = aug ? ridx_.row_cds(b, row) : 0;
-        if (bank.earliest_activate_key(sag, row, ridx_.cds(s), extra_cds,
-                                       nvm::ActPurpose::kRead, now) > now) {
-          continue;
-        }
-      }
+      // The exact cached ACT candidate is the head's sensed/activate probe,
+      // floor applied.
+      if (std::max(act_floor, group_rcand_[g].act) > now) continue;
       winner_seq = ridx_.seq(s);
       pick.slot = s;
     }
@@ -662,7 +633,8 @@ auto ControllerT<BankT>::select_write_indexed(
     Cycle now, bool background_only, std::vector<std::int32_t>& to_flag) const
     -> WritePick {
   to_flag.clear();
-  if (widx_.empty()) return {-1, false};
+  // Nothing activates or issues a column inside a refresh window.
+  if (widx_.empty() || refresh_end(now) > now) return {-1, false};
   const Cycle data_start = now + timing_.tCWD;
   const bool bus_ok = bus_.available(data_start);
   // Write minima that can still act at `now` under this drain mode's
@@ -679,12 +651,10 @@ auto ControllerT<BankT>::select_write_indexed(
   // O(1) out: no write that can act is due yet on any bank — nothing to
   // pick, nothing to flag.
   refresh_global();
-  if (global_valid_) {
-    const BankCand& g = global_cand_;
-    if (write_due(g.write_plain, g.write_flagged, g.write_bg_plain,
-                  g.write_bg_flagged) > now) {
-      return {-1, false};
-    }
+  if (write_due(global_cand_.write_plain, global_cand_.write_flagged,
+                global_cand_.write_bg_plain, global_cand_.write_bg_flagged) >
+      now) {
+    return {-1, false};
   }
   // As in read selection, the pass is side-effect-free and bus availability
   // is uniform across candidates, so the arrival-order winner is the min
@@ -707,7 +677,7 @@ auto ControllerT<BankT>::select_write_indexed(
          now >= sag_last_read_[g] + cfg_.bg_write_guard &&
          !ridx_.cd_overlap_mask(b, widx_.cds(h)));
     if (bg_ok) {
-      const BankT& bank = *typed_[b];
+      const BankT& bank = banks_[b];
       if (bank.open_row_of(sag) != row) {
         if (bank.earliest_activate_key(sag, row, 0, 0,
                                        nvm::ActPurpose::kWrite, now) <= now) {
@@ -723,18 +693,15 @@ auto ControllerT<BankT>::select_write_indexed(
   WritePick pick{-1, false};
   std::uint64_t winner_seq = ~0ULL;
   const std::uint64_t nbanks = banks_.size();
-  const bool cand_exact = global_valid_;  // see select_read_column_indexed
   for (std::uint64_t b = 0; b < nbanks; ++b) {
     // Banks whose cached write minima (guard folded for the background
     // path) have not arrived yet cannot contribute a winner or a flag.
-    if (cand_exact) {
-      const BankCand& c = bank_cand_[b];
-      if (write_due(c.write_plain, c.write_flagged, c.write_bg_plain,
-                    c.write_bg_flagged) > now) {
-        continue;
-      }
+    const BankCand& c = bank_cand_[b];
+    if (write_due(c.write_plain, c.write_flagged, c.write_bg_plain,
+                  c.write_bg_flagged) > now) {
+      continue;
     }
-    const BankT& bank = *typed_[b];
+    const BankT& bank = banks_[b];
     const Cycle act_floor = bank.activate_floor();
     const Cycle col_floor = bank.column_floor();
     for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
@@ -743,19 +710,15 @@ auto ControllerT<BankT>::select_write_indexed(
       // not due yet skips its probes (the row-hash probe and member walk
       // for the columns), and a group with neither half due costs a few
       // loads.
-      bool act_due = true, col_due = true;
-      if (cand_exact) {
-        const GroupWriteCand& gc = group_wcand_[g];
-        act_due = std::max(act_floor, background_only ? gc.bg_act : gc.act) <=
-                  now;
-        col_due = std::max(col_floor,
-                           background_only
-                               ? write_due_col(gc.bg_col_plain,
-                                               gc.bg_col_flagged)
-                               : write_due_col(gc.col_plain,
-                                               gc.col_flagged)) <= now;
-        if (!act_due && !col_due) continue;
-      }
+      const GroupWriteCand& gc = group_wcand_[g];
+      const bool act_due =
+          std::max(act_floor, background_only ? gc.bg_act : gc.act) <= now;
+      const bool col_due =
+          std::max(col_floor,
+                   background_only
+                       ? write_due_col(gc.bg_col_plain, gc.bg_col_flagged)
+                       : write_due_col(gc.col_plain, gc.col_flagged)) <= now;
+      if (!act_due && !col_due) continue;
       if (background_only) {
         // ridx_ and widx_ share the group-id space (bank * num_sags + sag),
         // and sag_group(w.addr) == g for every member of g.
@@ -785,11 +748,8 @@ auto ControllerT<BankT>::select_write_indexed(
         }
       }
       if (!col_due || row == kInvalidAddr) continue;
-      // Hoist the member-independent half of the column probe; a member's
-      // earliest column is >= the base, so a late base rules out every
-      // column candidate (winner or flag) in this group at once.
-      const Cycle col_base = bank.column_base_key(sag, OpType::kWrite, now);
-      if (col_base > now) continue;
+      // As in read selection, the passed gate puts the column base at or
+      // before `now`, so only the members' CD locks remain to check.
       for (std::int32_t s = widx_.row_head(b, row); s >= 0;
            s = widx_.row_next(s)) {
         widx_.prefetch(widx_.row_next(s));
@@ -802,8 +762,7 @@ auto ControllerT<BankT>::select_write_indexed(
         if (background_only && ridx_.cd_overlap_mask(b, widx_.cds(s))) {
           continue;
         }
-        if (bank.column_fold_key(widx_.cds(s), OpType::kWrite, col_base) >
-            now) {
+        if (bank.column_fold_key(widx_.cds(s), OpType::kWrite, now) > now) {
           continue;
         }
         if (!bus_ok) {
@@ -1106,9 +1065,9 @@ void ControllerT<BankT>::sample_obs(Cycle now, obs::ChannelSample& s) const {
   for (std::uint64_t b = 0; b < nbanks; ++b) {
     s.max_bank_q = std::max(s.max_bank_q, ridx_.bank_count(b));
   }
-  for (const auto& bank : banks_) {
-    s.open_acts += bank->active_sags(now);
-    s.busy_tiles += bank->active_cds(now);
+  for (const BankT& bank : banks_) {
+    s.open_acts += bank.active_sags(now);
+    s.busy_tiles += bank.active_cds(now);
   }
   // A CD serves one (SAG, CD) tile group at a time, so the number of tile
   // groups usable concurrently — the utilization denominator — is the CD
@@ -1117,10 +1076,20 @@ void ControllerT<BankT>::sample_obs(Cycle now, obs::ChannelSample& s) const {
 }
 
 template <typename BankT>
-std::vector<mem::MemRequest> ControllerT<BankT>::take_completed() {
-  std::vector<mem::MemRequest> out;
-  out.swap(completed_);
-  return out;
+nvm::BankStats ControllerT<BankT>::bank_totals() const {
+  nvm::BankStats total;
+  for (const BankT& bank : banks_) total += bank.stats();
+  return total;
+}
+
+template <typename BankT>
+nvm::EnergyBreakdown ControllerT<BankT>::energy(const nvm::EnergyModel& model,
+                                                Cycle elapsed) const {
+  nvm::EnergyBreakdown sum;
+  for (const BankT& bank : banks_) {
+    sum += model.bank_energy(bank.stats(), elapsed);
+  }
+  return sum;
 }
 
 template <typename BankT>
@@ -1183,10 +1152,11 @@ void ControllerT<BankT>::mark_cd_locks(std::uint64_t b, std::uint64_t g,
 }
 
 template <typename BankT>
-auto ControllerT<BankT>::compute_read_group(std::uint64_t b, std::uint32_t g,
-                                            Cycle tq) const -> GroupReadCand {
+auto ControllerT<BankT>::compute_read_group(std::uint64_t b,
+                                            std::uint32_t g) const
+    -> GroupReadCand {
   GroupReadCand gc;
-  const BankT& bank = *typed_[b];
+  const BankT& bank = banks_[b];
   const std::int32_t head = ridx_.group_head(g);
   const std::uint64_t sag = g % geo_.num_sags;
   const std::uint64_t hrow = ridx_.row_of(head);
@@ -1198,14 +1168,14 @@ auto ControllerT<BankT>::compute_read_group(std::uint64_t b, std::uint32_t g,
             ? ridx_.row_cds(b, hrow)
             : 0;
     gc.act = bank.activate_sag_key(sag, hrow, ridx_.cds(head), extra_cds,
-                                   nvm::ActPurpose::kRead, tq);
+                                   nvm::ActPurpose::kRead, 0);
     gc.act_cds = bank.activate_cds(sag, hrow, ridx_.cds(head), extra_cds);
   }
   const std::uint64_t row = bank.open_row_of(sag);
   if (row == kInvalidAddr) return gc;
-  // Candidates are minima at tq, so no early-out — but the member-
+  // Candidates are minima at t = 0, so no early-out — but the member-
   // independent base still hoists out of the walk.
-  const Cycle col_base = bank.column_sag_key(sag, OpType::kRead, tq);
+  const Cycle col_base = bank.column_sag_key(sag, OpType::kRead, 0);
   for (std::int32_t s = ridx_.row_head(b, row); s >= 0; s = ridx_.row_next(s)) {
     ridx_.prefetch(ridx_.row_next(s));
     if (!bank.segments_sensed_key(sag, row, ridx_.cds(s))) continue;
@@ -1218,10 +1188,11 @@ auto ControllerT<BankT>::compute_read_group(std::uint64_t b, std::uint32_t g,
 }
 
 template <typename BankT>
-auto ControllerT<BankT>::compute_write_group(std::uint64_t b, std::uint32_t g,
-                                             Cycle tq) const -> GroupWriteCand {
+auto ControllerT<BankT>::compute_write_group(std::uint64_t b,
+                                             std::uint32_t g) const
+    -> GroupWriteCand {
   GroupWriteCand gc;
-  const BankT& bank = *typed_[b];
+  const BankT& bank = banks_[b];
   const std::int32_t head = widx_.group_head(g);
   // The background SAG-conflict half of write_conflicts_with_reads is
   // uniform across the group (shared group-id space with ridx_); only the
@@ -1235,13 +1206,13 @@ auto ControllerT<BankT>::compute_write_group(std::uint64_t b, std::uint32_t g,
   const std::uint64_t row = bank.open_row_of(sag);
   if (widx_.row_of(head) != row) {
     gc.act = bank.activate_sag_key(sag, widx_.row_of(head), 0, 0,
-                                   nvm::ActPurpose::kWrite, tq);
+                                   nvm::ActPurpose::kWrite, 0);
     if (bg_group && !ridx_.cd_overlap_mask(b, widx_.cds(head))) {
       gc.bg_act = std::max(gc.act, guard);
     }
   }
   if (row == kInvalidAddr) return gc;
-  const Cycle col_base = bank.column_sag_key(sag, OpType::kWrite, tq);
+  const Cycle col_base = bank.column_sag_key(sag, OpType::kWrite, 0);
   for (std::int32_t s = widx_.row_head(b, row); s >= 0; s = widx_.row_next(s)) {
     widx_.prefetch(widx_.row_next(s));
     const bool flg = widx_.flagged(s);
@@ -1259,16 +1230,15 @@ auto ControllerT<BankT>::compute_write_group(std::uint64_t b, std::uint32_t g,
 }
 
 template <typename BankT>
-void ControllerT<BankT>::refresh_bank(std::uint64_t b, Cycle tq,
-                                      bool force) const {
+void ControllerT<BankT>::refresh_bank(std::uint64_t b) const {
   // One pass per half recomputes the dirty entries and folds every active
   // group's floor-free minima; the bank floors go on top. Exact, since
   // max(floor, min_g x_g) == min_g max(floor, x_g).
   GroupReadCand r;
   for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
     GroupReadCand& c = group_rcand_[g];
-    if (force || (group_dirty_[g] & kReadHalf) != 0) {
-      c = compute_read_group(b, g, tq);
+    if ((group_dirty_[g] & kReadHalf) != 0) {
+      c = compute_read_group(b, g);
       group_dirty_[g] &= static_cast<std::uint8_t>(~kReadHalf);
     }
     r.col_plain = std::min(r.col_plain, c.col_plain);
@@ -1278,8 +1248,8 @@ void ControllerT<BankT>::refresh_bank(std::uint64_t b, Cycle tq,
   GroupWriteCand w;
   for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
     GroupWriteCand& c = group_wcand_[g];
-    if (force || (group_dirty_[g] & kWriteHalf) != 0) {
-      c = compute_write_group(b, g, tq);
+    if ((group_dirty_[g] & kWriteHalf) != 0) {
+      c = compute_write_group(b, g);
       group_dirty_[g] &= static_cast<std::uint8_t>(~kWriteHalf);
     }
     w.act = std::min(w.act, c.act);
@@ -1289,7 +1259,7 @@ void ControllerT<BankT>::refresh_bank(std::uint64_t b, Cycle tq,
     w.bg_col_plain = std::min(w.bg_col_plain, c.bg_col_plain);
     w.bg_col_flagged = std::min(w.bg_col_flagged, c.bg_col_flagged);
   }
-  const BankT& bank = *typed_[b];
+  const BankT& bank = banks_[b];
   const Cycle cf = bank.column_floor();
   const Cycle af = bank.activate_floor();
   // Write ACTs and write columns join the plain minima once floored.
@@ -1317,15 +1287,15 @@ void ControllerT<BankT>::fold_min(BankCand& acc, const BankCand& c) {
 
 template <typename BankT>
 void ControllerT<BankT>::refresh_global() const {
-  // Only meaningful with every bank pure_timing: candidates computed at
-  // t=0 stay valid at any later query (the clamp identity), so dirty
-  // groups can be refreshed mid-tick, right after an issue, and the fold
-  // below bounds every selector until the next mark.
-  if (!all_pure_ || global_valid_) return;
+  // Candidates computed at t = 0 stay valid at any later query (the
+  // pure-timing clamp identity), so dirty groups can be refreshed mid-tick,
+  // right after an issue, and the fold below bounds every selector until
+  // the next mark.
+  if (global_valid_) return;
   const std::uint64_t nbanks = banks_.size();
   BankCand f;
   for (std::uint64_t b = 0; b < nbanks; ++b) {
-    if (bank_dirty_[b]) refresh_bank(b, 0, /*force=*/false);
+    if (bank_dirty_[b]) refresh_bank(b);
     fold_min(f, bank_cand_[b]);
   }
   global_cand_ = f;
@@ -1348,7 +1318,7 @@ void ControllerT<BankT>::audit_cand_cache() const {
   for (std::uint64_t b = 0; b < nbanks; ++b) {
     for (const std::uint32_t g : ridx_.active_groups_of_bank(b)) {
       const GroupReadCand& c = group_rcand_[g];
-      const GroupReadCand f = compute_read_group(b, g, 0);
+      const GroupReadCand f = compute_read_group(b, g);
       check(b, g, "read col_plain", c.col_plain, f.col_plain);
       check(b, g, "read col_flagged", c.col_flagged, f.col_flagged);
       check(b, g, "read act", c.act, f.act);
@@ -1357,7 +1327,7 @@ void ControllerT<BankT>::audit_cand_cache() const {
     }
     for (const std::uint32_t g : widx_.active_groups_of_bank(b)) {
       const GroupWriteCand& c = group_wcand_[g];
-      const GroupWriteCand f = compute_write_group(b, g, 0);
+      const GroupWriteCand f = compute_write_group(b, g);
       check(b, g, "write act", c.act, f.act);
       check(b, g, "write bg_act", c.bg_act, f.bg_act);
       check(b, g, "write col_plain", c.col_plain, f.col_plain);
@@ -1368,7 +1338,7 @@ void ControllerT<BankT>::audit_cand_cache() const {
     }
     // Every group is clean here, so this is a pure refold.
     const BankCand cached = bank_cand_[b];
-    refresh_bank(b, 0, /*force=*/false);
+    refresh_bank(b);
     if (!(bank_cand_[b] == cached)) {
       detail::throw_divergence("candidate cache bank fold (bank " +
                                std::to_string(b) + ")");
@@ -1394,20 +1364,15 @@ Cycle ControllerT<BankT>::next_event_indexed(Cycle now) const {
   }
 
   // Every gate below is a query-time global, uniform across banks, so it
-  // applies to the fold of the bank candidates. With every bank pure-timing
-  // that fold is refresh_global's, served from the cache; otherwise (DRAM
-  // refresh) every group is recomputed at the querying cycle.
-  BankCand c;
-  if (all_pure_) {
-    refresh_global();
-    c = global_cand_;
-  } else {
-    const std::uint64_t nbanks = banks_.size();
-    for (std::uint64_t b = 0; b < nbanks; ++b) {
-      refresh_bank(b, t0, /*force=*/true);
-      fold_min(c, bank_cand_[b]);
-    }
-  }
+  // applies to refresh_global's fold of the bank candidates. The channel's
+  // refresh window is one of them; it gates bank commands only, not the
+  // in-flight completions above or the drain flip.
+  refresh_global();
+  const BankCand& c = global_cand_;
+  const Cycle r = refresh_end(t0);
+  const auto consider_bank = [&](Cycle cand) {
+    next = std::min(next, std::max(cand, r));
+  };
 
   // The first time a bank-ready read meets a busy bus, tick() sets its
   // sticky bus_blocked flag — a state change, so the candidate of an
@@ -1417,9 +1382,9 @@ Cycle ControllerT<BankT>::next_event_indexed(Cycle now) const {
   // bus readiness.
   const Cycle bus_read_ready =
       bus_.earliest_start(t0 + timing_.tCAS) - timing_.tCAS;
-  consider(c.read_col_plain);
-  consider(std::max(c.read_col_flagged, bus_read_ready));
-  consider(c.read_act);
+  consider_bank(c.read_col_plain);
+  consider_bank(std::max(c.read_col_flagged, bus_read_ready));
+  consider_bank(c.read_act);
   if (next == t0 || writes_.empty()) return next;
 
   const bool draining = writes_.draining();
@@ -1442,12 +1407,12 @@ Cycle ControllerT<BankT>::next_event_indexed(Cycle now) const {
   const Cycle bus_write_ready =
       bus_.earliest_start(t0 + timing_.tCWD) - timing_.tCWD;
   if (draining || idle_path) {
-    consider(std::max(c.write_plain, idle_gate));
-    consider(std::max({c.write_flagged, bus_write_ready, idle_gate}));
+    consider_bank(std::max(c.write_plain, idle_gate));
+    consider_bank(std::max({c.write_flagged, bus_write_ready, idle_gate}));
   }
   if (bg_path) {
-    consider(std::max(c.write_bg_plain, bg_gate));
-    consider(std::max({c.write_bg_flagged, bus_write_ready, bg_gate}));
+    consider_bank(std::max(c.write_bg_plain, bg_gate));
+    consider_bank(std::max({c.write_bg_flagged, bus_write_ready, bg_gate}));
   }
   return next;
 }

@@ -245,9 +245,8 @@ RequestId HybridMemorySystem::submit(Addr addr, OpType op, Cycle now,
   // identical pre-tick across all LoopModes (the §9/§12 invariant), so the
   // counter — and every migration it triggers — is mode-invariant too.
   const mem::MemGeometry& g = cfg_.geometry;
-  const auto& bank =
-      channels_[d.channel]->banks()[d.rank * g.banks_per_rank + d.bank];
-  if (bank->open_row_of(d.sag) != d.row) {
+  if (channels_[d.channel]->open_row_of(d.rank * g.banks_per_rank + d.bank,
+                                        d.sag) != d.row) {
     if (rbl_[key] < 0xFFFF) ++rbl_[key];
     if (mig_.phase == Phase::kIdle &&
         rbl_[key] >= hcfg_.hybrid.migration_threshold) {
@@ -461,11 +460,7 @@ nvm::EnergyBreakdown HybridMemorySystem::energy(Cycle elapsed) const {
   for (std::uint64_t ch = 0; ch < channels_.size(); ++ch) {
     const nvm::EnergyModel& model =
         ch == dram_ch_ ? dram_energy_model_ : energy_model_;
-    const nvm::EnergyBreakdown e =
-        model.total_energy(channels_[ch]->banks(), elapsed);
-    sum.sense_pj += e.sense_pj;
-    sum.write_pj += e.write_pj;
-    sum.background_pj += e.background_pj;
+    sum += channels_[ch]->energy(model, elapsed);
   }
   return sum;
 }

@@ -48,17 +48,11 @@ std::unique_ptr<sched::ControllerBase> make_channel_controller(
     const mem::TimingParams& timing, const sched::ControllerConfig& controller,
     const nvm::AccessModes& modes) {
   if (kind == BankKind::kDram) {
-    const auto make_bank = [&]() -> std::unique_ptr<nvm::Bank> {
-      return std::make_unique<dram::DramBank>(geometry, timing);
-    };
     return std::make_unique<sched::ControllerT<dram::DramBank>>(
-        geometry, timing, controller, make_bank);
+        geometry, timing, controller, dram::DramBank(geometry, timing));
   }
-  const auto make_bank = [&]() -> std::unique_ptr<nvm::Bank> {
-    return std::make_unique<nvm::FgNvmBank>(geometry, timing, modes);
-  };
   return std::make_unique<sched::ControllerT<nvm::FgNvmBank>>(
-      geometry, timing, controller, make_bank);
+      geometry, timing, controller, nvm::FgNvmBank(geometry, timing, modes));
 }
 
 MemorySystem::MemorySystem(const SystemConfig& cfg) : MemorySystem(cfg, {}) {}
@@ -182,12 +176,6 @@ obs::TimeSeriesSample MemorySystem::build_sample(Cycle now) const {
 
 void MemorySystem::finalize_obs(Cycle /*end*/) {}
 
-std::vector<mem::MemRequest> MemorySystem::take_completed() {
-  std::vector<mem::MemRequest> all;
-  drain_completed(all);
-  return all;
-}
-
 void MemorySystem::drain_completed(std::vector<mem::MemRequest>& out) {
   out.clear();
   if (lazy_) {
@@ -262,29 +250,13 @@ bool MemorySystem::idle() const {
 
 nvm::EnergyBreakdown MemorySystem::energy(Cycle elapsed) const {
   nvm::EnergyBreakdown sum;
-  for (const auto& ch : channels_) {
-    const auto e = energy_model_.total_energy(ch->banks(), elapsed);
-    sum.sense_pj += e.sense_pj;
-    sum.write_pj += e.write_pj;
-    sum.background_pj += e.background_pj;
-  }
+  for (const auto& ch : channels_) sum += ch->energy(energy_model_, elapsed);
   return sum;
 }
 
 nvm::BankStats MemorySystem::bank_totals() const {
   nvm::BankStats total;
-  for (const auto& ch : channels_) {
-    for (const auto& bank : ch->banks()) {
-      const nvm::BankStats& s = bank->stats();
-      total.acts_for_read += s.acts_for_read;
-      total.acts_for_write += s.acts_for_write;
-      total.underfetch_acts += s.underfetch_acts;
-      total.reads += s.reads;
-      total.writes += s.writes;
-      total.bits_sensed += s.bits_sensed;
-      total.bits_written += s.bits_written;
-    }
-  }
+  for (const auto& ch : channels_) total += ch->bank_totals();
   return total;
 }
 

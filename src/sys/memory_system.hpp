@@ -89,12 +89,9 @@ class MemorySystem {
   /// channels whose cached due cycle has arrived; otherwise all channels.
   virtual void tick(Cycle now);
 
-  /// Completed read requests (and forwarded reads) since the last call.
-  std::vector<mem::MemRequest> take_completed();
-
-  /// Allocation-free variant: clears `out`, then fills it with the completed
-  /// requests since the last call (always in channel order). The simulation
-  /// loops reuse one buffer.
+  /// Clears `out`, then fills it with the completed read requests (and
+  /// forwarded reads) since the last call, always in channel order. The
+  /// simulation loops reuse one buffer.
   virtual void drain_completed(std::vector<mem::MemRequest>& out);
 
   /// Earliest cycle > now at which any channel's tick() could change state,

@@ -294,21 +294,8 @@ sim::RunResult Topology::finish(const std::string& workload) {
   }
   for (const auto& shard : shards_) {
     for (const Shard::Channel& c : shard->channels()) {
-      const nvm::EnergyBreakdown e =
-          energy_model_.total_energy(c.ctrl->banks(), r.mem_cycles);
-      r.energy.sense_pj += e.sense_pj;
-      r.energy.write_pj += e.write_pj;
-      r.energy.background_pj += e.background_pj;
-      for (const auto& bank : c.ctrl->banks()) {
-        const nvm::BankStats& s = bank->stats();
-        r.banks.acts_for_read += s.acts_for_read;
-        r.banks.acts_for_write += s.acts_for_write;
-        r.banks.underfetch_acts += s.underfetch_acts;
-        r.banks.reads += s.reads;
-        r.banks.writes += s.writes;
-        r.banks.bits_sensed += s.bits_sensed;
-        r.banks.bits_written += s.bits_written;
-      }
+      r.energy += c.ctrl->energy(energy_model_, r.mem_cycles);
+      r.banks += c.ctrl->bank_totals();
       r.controller.merge(c.ctrl->stats());
     }
   }

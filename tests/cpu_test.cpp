@@ -1,6 +1,8 @@
 // Unit tests for the ROB-occupancy CPU model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cpu/rob_cpu.hpp"
 #include "sys/presets.hpp"
 #include "trace/stream.hpp"
@@ -26,7 +28,8 @@ struct Harness {
 
   void run(Cycle max_mem_cycles = 2'000'000) {
     for (Cycle t = 0; t < max_mem_cycles; ++t) {
-      cpu.complete(mem.take_completed());
+      mem.drain_completed(completed);
+      cpu.complete(completed);
       cpu.tick_mem_cycle(t);
       mem.tick(t);
       if (cpu.finished() && mem.idle()) return;
@@ -37,6 +40,7 @@ struct Harness {
   trace::TraceSource src;
   sys::MemorySystem mem;
   RobCpu cpu;
+  std::vector<mem::MemRequest> completed;
 };
 
 TEST(RobCpu, EmptyTraceFinishesImmediately) {
@@ -88,9 +92,11 @@ TEST(RobCpu, LowerMemoryLatencyRaisesIpc) {
   sys::MemorySystem fast_mem(sys::many_banks_config(8, 2));
   trace::TraceSource fast_src(tr);
   RobCpu fast_cpu(fast_src, {}, fast_mem);
+  std::vector<mem::MemRequest> completed;
   for (Cycle t = 0;; ++t) {
     ASSERT_LT(t, 2'000'000u);
-    fast_cpu.complete(fast_mem.take_completed());
+    fast_mem.drain_completed(completed);
+    fast_cpu.complete(completed);
     fast_cpu.tick_mem_cycle(t);
     fast_mem.tick(t);
     if (fast_cpu.finished() && fast_mem.idle()) break;

@@ -2,6 +2,9 @@
 // restore, precharge timing, refresh blocking, and subarray-level overlap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "dram/dram_bank.hpp"
 #include "mem/geometry.hpp"
 #include "sim/runner.hpp"
@@ -151,15 +154,50 @@ TEST(DramBankTest, RefreshBlocksPeriodically) {
   EXPECT_EQ(f.bank_.earliest_activate(f.at(5, 0), nvm::ActPurpose::kRead,
                                       refi + 1),
             refi + f.timing_.tRFC);
-  EXPECT_EQ(f.bank_.refreshes_performed(), 1u);
 }
 
 TEST(DramBankTest, MissedRefreshesCatchUp) {
   DramFixture f(1);
-  // Query far in the future: several refresh windows must have elapsed.
-  f.bank_.earliest_activate(f.at(5, 0), nvm::ActPurpose::kRead,
-                            f.timing_.tREFI * 5 + 100);
-  EXPECT_EQ(f.bank_.refreshes_performed(), 5u);
+  // A first query far in the future: the refreshes of the idle stretch
+  // ran at their own deadlines (no backlog stacks up behind the query),
+  // so only the fifth window still blocks, and only until its own end.
+  const Cycle refi = f.timing_.tREFI;
+  const Cycle rfc = f.timing_.tRFC;
+  EXPECT_EQ(f.bank_.earliest_activate(f.at(5, 0), nvm::ActPurpose::kRead,
+                                      refi * 5 + 100),
+            refi * 5 + rfc);
+  EXPECT_EQ(f.bank_.earliest_column(f.at(5, 0), OpType::kWrite,
+                                    refi * 5 + 100),
+            refi * 5 + rfc);
+  EXPECT_EQ(f.bank_.refresh_end(refi * 5 + rfc), refi * 5 + rfc);
+}
+
+/// The deadline loop refresh_end replaced: deadlines at k*tREFI, each
+/// refresh starting at max(deadline, previous end) and lasting tRFC.
+Cycle replay_refresh_end(const mem::TimingParams& t, Cycle q) {
+  if (t.tREFI == 0) return q;
+  Cycle end = 0;
+  for (Cycle deadline = t.tREFI; deadline <= q; deadline += t.tREFI) {
+    end = std::max(deadline, end) + t.tRFC;
+  }
+  return std::max(q, end);
+}
+
+TEST(DramBankTest, RefreshEndMatchesDeadlineReplay) {
+  const mem::MemGeometry g = geometry(1);
+  // tRFC below, equal to and above tREFI (the last stacks every refresh
+  // behind the previous one), and refresh off.
+  for (const auto& [refi, rfc] :
+       {std::pair<Cycle, Cycle>{200, 30}, {200, 200}, {200, 450}, {0, 30}}) {
+    mem::TimingParams t = ddr3_timing();
+    t.tREFI = refi;
+    t.tRFC = rfc;
+    const DramBank bank(g, t);
+    for (Cycle q = 0; q <= 6000; ++q) {
+      ASSERT_EQ(bank.refresh_end(q), replay_refresh_end(t, q))
+          << "tREFI " << refi << " tRFC " << rfc << " t " << q;
+    }
+  }
 }
 
 TEST(DramSystem, EndToEndRunWorks) {

@@ -233,11 +233,9 @@ TEST_P(ChainBoundaryFuzz, RandomWindowsMatchEagerTwin) {
   cfg.bg_write_inflight_max = 3;
 
   const mem::AddressDecoder dec(geo);
-  const sched::BankFactory make = [&]() -> std::unique_ptr<nvm::Bank> {
-    return std::make_unique<nvm::FgNvmBank>(geo, timing, modes);
-  };
-  sched::ControllerT<nvm::FgNvmBank> fast(geo, timing, cfg, make);
-  sched::ControllerT<nvm::FgNvmBank> eager(geo, timing, cfg, make);
+  const nvm::FgNvmBank bank(geo, timing, modes);
+  sched::ControllerT<nvm::FgNvmBank> fast(geo, timing, cfg, bank);
+  sched::ControllerT<nvm::FgNvmBank> eager(geo, timing, cfg, bank);
 
   struct Planned {
     Cycle at;
@@ -268,7 +266,7 @@ TEST_P(ChainBoundaryFuzz, RandomWindowsMatchEagerTwin) {
   Cycle due = kNeverCycle;  // fast twin's cached next_event
   Cycle ticked = 0;         // eager twin has ticked every cycle < ticked
   std::uint64_t id = 0;
-  std::uint64_t completed_fast = 0, completed_eager = 0;
+  std::vector<mem::MemRequest> completed_fast, completed_eager;
   while (next < plan.size() || !fast.idle()) {
     ASSERT_LT(now, 10'000'000u);
     while (ticked < now) {
@@ -277,9 +275,10 @@ TEST_P(ChainBoundaryFuzz, RandomWindowsMatchEagerTwin) {
     }
     ASSERT_EQ(fast.stats().to_string(), eager.stats().to_string())
         << "window boundary at cycle " << now;
-    completed_fast += fast.take_completed().size();
-    completed_eager += eager.take_completed().size();
-    ASSERT_EQ(completed_fast, completed_eager) << "at cycle " << now;
+    fast.drain_completed(completed_fast);
+    eager.drain_completed(completed_eager);
+    ASSERT_EQ(completed_fast.size(), completed_eager.size())
+        << "at cycle " << now;
     while (next < plan.size() && plan[next].at <= now) {
       ASSERT_EQ(fast.can_accept(plan[next].op),
                 eager.can_accept(plan[next].op))
@@ -318,9 +317,9 @@ TEST_P(ChainBoundaryFuzz, RandomWindowsMatchEagerTwin) {
     ++ticked;
   }
   EXPECT_EQ(fast.stats().to_string(), eager.stats().to_string());
-  completed_fast += fast.take_completed().size();
-  completed_eager += eager.take_completed().size();
-  EXPECT_EQ(completed_fast, completed_eager);
+  fast.drain_completed(completed_fast);
+  eager.drain_completed(completed_eager);
+  EXPECT_EQ(completed_fast.size(), completed_eager.size());
   EXPECT_TRUE(eager.idle());
   EXPECT_EQ(next, plan.size());
 }

@@ -191,8 +191,8 @@ TEST(MultiActivation, TwoOpenRowsCoexist) {
   BankFixture f(8, 2, AccessModes::all_on());
   f.bank_.issue_activate(f.at(5, 0), ActPurpose::kRead, 0);
   f.bank_.issue_activate(f.at(600, 8), ActPurpose::kRead, 0);
-  EXPECT_EQ(f.bank_.open_row(0), 5u);
-  EXPECT_EQ(f.bank_.open_row(1), 600u);
+  EXPECT_EQ(f.bank_.open_row_of(0), 5u);
+  EXPECT_EQ(f.bank_.open_row_of(1), 600u);
   EXPECT_TRUE(f.bank_.segments_sensed(f.at(5, 0)));
   EXPECT_TRUE(f.bank_.segments_sensed(f.at(600, 8)));
 }
@@ -272,11 +272,13 @@ TEST(BankStatsTest, CountsBitsWritten) {
 
 TEST(BankBusyUntil, ReflectsLatestLock) {
   BankFixture f(8, 2, AccessModes::all_on());
-  EXPECT_EQ(f.bank_.busy_until(), 0u);
   const auto w = f.at(600, 8);
+  const auto other = f.at(601, 8);  // same SAG, another row
+  EXPECT_EQ(f.bank_.earliest_activate(other, ActPurpose::kWrite, 0), 0u);
   f.bank_.issue_activate(w, ActPurpose::kWrite, 0);
   const Cycle done = f.bank_.issue_column(w, OpType::kWrite, f.timing_.tRCD);
-  EXPECT_EQ(f.bank_.busy_until(), done);
+  // The program pulse holds the SAG until the write completes.
+  EXPECT_EQ(f.bank_.earliest_activate(other, ActPurpose::kWrite, 0), done);
 }
 
 // --------------------------------------------------------------- energy

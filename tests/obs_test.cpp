@@ -153,9 +153,7 @@ class ObsFixture {
     geo_.num_cds = 2;
     decoder_ = std::make_unique<mem::AddressDecoder>(geo_);
     ctrl_ = std::make_unique<sched::ControllerT<nvm::FgNvmBank>>(
-        geo_, timing_, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
-          return std::make_unique<nvm::FgNvmBank>(geo_, timing_, modes);
-        });
+        geo_, timing_, cfg, nvm::FgNvmBank(geo_, timing_, modes));
     ctrl_->set_collector(&collector_);
   }
 
@@ -171,9 +169,7 @@ class ObsFixture {
   Cycle run_until_complete(RequestId id, Cycle max_cycles = 100000) {
     for (; now_ < max_cycles; ++now_) {
       ctrl_->tick(now_);
-      for (const auto& done : ctrl_->take_completed()) {
-        completed_.push_back(done);
-      }
+      ctrl_->drain_completed(completed_);
       for (const auto& done : completed_) {
         if (done.id == id) return done.completion;
       }
@@ -186,9 +182,7 @@ class ObsFixture {
     const Cycle end = now_ + n;
     for (; now_ < end; ++now_) {
       ctrl_->tick(now_);
-      for (const auto& done : ctrl_->take_completed()) {
-        completed_.push_back(done);
-      }
+      ctrl_->drain_completed(completed_);
     }
   }
 

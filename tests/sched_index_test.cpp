@@ -35,13 +35,14 @@
 namespace fgnvm::sched {
 namespace {
 
-// The modes sit in the padding after the two one-byte enums, so the
-// parameter stays 32 bytes and its printed form (part of each listed test
-// name) is unchanged for the all-on cases.
+// The modes and the bank kind sit in the padding after the two one-byte
+// enums, so the parameter stays 32 bytes and its printed form (part of each
+// listed test name) is unchanged for the all-on FgNVM cases.
 struct Scenario {
   SchedulerPolicy policy;
   PagePolicy page;
   nvm::AccessModes modes = nvm::AccessModes::all_on();
+  bool dram = false;  // DramBank (modes unused; cds must be 1)
   std::uint64_t sags;
   std::uint64_t cds;
   std::uint64_t seed;
@@ -49,7 +50,8 @@ struct Scenario {
 static_assert(sizeof(Scenario) == 32);
 
 std::string scenario_name(const Scenario& s) {
-  std::string name = std::string(to_string(s.policy)) + "_" +
+  std::string name = std::string(s.dram ? "dram_" : "") +
+                     to_string(s.policy) + "_" +
                      to_string(s.page) + "_" + std::to_string(s.sags) + "x" +
                      std::to_string(s.cds);
   if (!s.modes.multi_activation) name += "_no_multi_activation";
@@ -79,10 +81,17 @@ class IndexedScheduler {
     cfg.bg_write_min = 2;
     cfg.bg_write_inflight_max = 3;
     decoder_ = std::make_unique<mem::AddressDecoder>(geo_);
-    ctrl_ = std::make_unique<ControllerT<nvm::FgNvmBank>>(
-        geo_, timing_, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
-          return std::make_unique<nvm::FgNvmBank>(geo_, timing_, s.modes);
-        });
+    if (s.dram) {
+      // A refresh interval short enough that refresh windows land inside
+      // every random run, so the selectors' refresh gate and next_event's
+      // refresh term are cross-checked too.
+      timing_ = dram::ddr3_timing();
+      timing_.tREFI = 200;
+      timing_.tRFC = 30;
+    }
+    ctrl_ = sys::make_channel_controller(
+        s.dram ? sys::BankKind::kDram : sys::BankKind::kFgNvm, geo_, timing_,
+        cfg, s.modes);
     ctrl_->set_cross_check(cross_check);
   }
 
@@ -119,7 +128,8 @@ class IndexedScheduler {
         ++submitted;
       }
       ctrl_->tick(now);
-      (void)ctrl_->take_completed();
+      ctrl_->drain_completed(completed_);
+      completed_.clear();
       // Exercise the cached next_event (and its oracle comparison) every
       // cycle; occasionally skip ahead to it like the event-driven loop.
       const Cycle nxt = ctrl_->next_event(now);
@@ -142,7 +152,8 @@ class IndexedScheduler {
   mem::MemGeometry geo_;
   mem::TimingParams timing_;
   std::unique_ptr<mem::AddressDecoder> decoder_;
-  std::unique_ptr<ControllerT<nvm::FgNvmBank>> ctrl_;
+  std::unique_ptr<ControllerBase> ctrl_;
+  std::vector<mem::MemRequest> completed_;
 };
 
 class SchedIndexTest : public ::testing::TestWithParam<Scenario> {};
@@ -215,6 +226,35 @@ INSTANTIATE_TEST_SUITE_P(AccessModes, SchedIndexTest,
                            return scenario_name(info.param);
                          });
 
+// DRAM takes the same cached scheduler path, with refresh as a channel-wide
+// query-time term: conventional (one subarray) and SALP banks under every
+// policy and page mode.
+std::vector<Scenario> dram_scenarios() {
+  std::vector<Scenario> out;
+  std::uint64_t seed = 201;
+  for (const SchedulerPolicy pol :
+       {SchedulerPolicy::kFcfs, SchedulerPolicy::kFrfcfs,
+        SchedulerPolicy::kFrfcfsAugmented}) {
+    for (const PagePolicy page : {PagePolicy::kOpen, PagePolicy::kClosed}) {
+      for (const std::uint64_t subarrays : {1ull, 8ull}) {
+        out.push_back({.policy = pol,
+                       .page = page,
+                       .dram = true,
+                       .sags = subarrays,
+                       .cds = 1,
+                       .seed = seed++});
+      }
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Dram, SchedIndexTest,
+                         ::testing::ValuesIn(dram_scenarios()),
+                         [](const auto& info) {
+                           return scenario_name(info.param);
+                         });
+
 // ---------------------------------------------------------------------------
 // MemorySystem-level differential: the lazy per-channel due caches (and the
 // windowed advance_channels_to on top of them, serial and threaded) must
@@ -265,6 +305,7 @@ std::string run_system(const sys::SystemConfig& cfg, bool eager, bool windowed,
   std::size_t next = 0;
   Cycle now = 0;
   std::uint64_t completed = 0;
+  std::vector<mem::MemRequest> done;
   while (next < plan.size() || !mem.idle()) {
     while (next < plan.size() && plan[next].at <= now &&
            mem.can_accept(plan[next].addr, plan[next].op)) {
@@ -272,7 +313,8 @@ std::string run_system(const sys::SystemConfig& cfg, bool eager, bool windowed,
       ++next;
     }
     mem.tick(now);
-    completed += mem.take_completed().size();
+    mem.drain_completed(done);
+    completed += done.size();
     const Cycle nxt = mem.next_event(now);
     const bool backpressured = next < plan.size() && plan[next].at <= now;
     Cycle step = nxt;
@@ -330,8 +372,8 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
 // the full stats rendering plus the completed-read ids are compared at
 // EVERY window boundary, so a chain walk that skips an actionable cycle
 // (or resumes a blocked driver at the wrong cycle) diverges at the very
-// next boundary. Three policies x two bank technologies (DRAM's refresh
-// bookkeeping is not pure-timing).
+// next boundary. Three policies x two bank technologies (DRAM adds the
+// refresh windows).
 
 struct ChainTwinCase {
   SchedulerPolicy policy;
@@ -371,26 +413,14 @@ TEST_P(ChainTwinTest, ChainWalkMatchesEagerAtEveryBoundary) {
   cfg.bg_write_min = 2;
   cfg.bg_write_inflight_max = 3;
   const mem::AddressDecoder dec(geo);
-  const BankFactory make = [&]() -> std::unique_ptr<nvm::Bank> {
-    if (c.dram) return std::make_unique<dram::DramBank>(geo, timing);
-    return std::make_unique<nvm::FgNvmBank>(geo, timing,
-                                            nvm::AccessModes::all_on());
-  };
-  // The shipped statically-dispatched instantiations, driven through the
-  // type-erased facade exactly as sys::MemorySystem drives them.
-  std::unique_ptr<ControllerBase> fast;
-  std::unique_ptr<ControllerBase> eager;
-  if (c.dram) {
-    fast = std::make_unique<ControllerT<dram::DramBank>>(geo, timing, cfg,
-                                                         make);
-    eager = std::make_unique<ControllerT<dram::DramBank>>(geo, timing, cfg,
-                                                          make);
-  } else {
-    fast = std::make_unique<ControllerT<nvm::FgNvmBank>>(geo, timing, cfg,
-                                                         make);
-    eager = std::make_unique<ControllerT<nvm::FgNvmBank>>(geo, timing, cfg,
-                                                          make);
-  }
+  // The shipped instantiations, built and driven through the type-erased
+  // facade exactly as sys::MemorySystem does.
+  const sys::BankKind kind =
+      c.dram ? sys::BankKind::kDram : sys::BankKind::kFgNvm;
+  const std::unique_ptr<ControllerBase> fast = sys::make_channel_controller(
+      kind, geo, timing, cfg, nvm::AccessModes::all_on());
+  const std::unique_ptr<ControllerBase> eager = sys::make_channel_controller(
+      kind, geo, timing, cfg, nvm::AccessModes::all_on());
 
   // Write-heavy, row-local bursty plan so drains, row-hit bursts and
   // idle-retire tails all occur. Arrivals are pre-scheduled so both twins
@@ -430,7 +460,9 @@ TEST_P(ChainTwinTest, ChainWalkMatchesEagerAtEveryBoundary) {
                     OpType::kRead});
   }
 
-  const auto ids_of = [](std::vector<mem::MemRequest> v) {
+  const auto drain_ids = [](ControllerBase& ctrl) {
+    std::vector<mem::MemRequest> v;
+    ctrl.drain_completed(v);
     std::string s;
     for (const mem::MemRequest& r : v) s += std::to_string(r.id) + ",";
     return s;
@@ -454,7 +486,7 @@ TEST_P(ChainTwinTest, ChainWalkMatchesEagerAtEveryBoundary) {
     // Boundary comparison: every stat, and the exact completed-read ids.
     ASSERT_EQ(fast->stats().to_string(), eager->stats().to_string())
         << chain_twin_name(c) << " diverged at cycle " << now;
-    ASSERT_EQ(ids_of(fast->take_completed()), ids_of(eager->take_completed()))
+    ASSERT_EQ(drain_ids(*fast), drain_ids(*eager))
         << chain_twin_name(c) << " completions diverged at cycle " << now;
     // Deliver due arrivals; acceptance must agree (identical state). An
     // enqueue re-arms the due cache at `now`, as MemorySystem::submit does.
@@ -494,7 +526,7 @@ TEST_P(ChainTwinTest, ChainWalkMatchesEagerAtEveryBoundary) {
   }
   EXPECT_EQ(fast->stats().to_string(), eager->stats().to_string())
       << chain_twin_name(c) << " final stats";
-  EXPECT_EQ(ids_of(fast->take_completed()), ids_of(eager->take_completed()));
+  EXPECT_EQ(drain_ids(*fast), drain_ids(*eager));
   EXPECT_TRUE(eager->idle());
   EXPECT_EQ(next, plan.size()) << chain_twin_name(c);
 }
@@ -539,8 +571,11 @@ DrainRun run_drain(const sys::SystemConfig& cfg, const trace::Trace& tr,
   const mem::AddressDecoder dec(cfg.geometry, cfg.mapping);
   constexpr Cycle kGuard = 50'000'000;
   DrainRun out;
+  std::vector<mem::MemRequest> done;
   const auto take = [&] {
-    for (const mem::MemRequest& r : ctrl->take_completed()) {
+    done.clear();
+    ctrl->drain_completed(done);
+    for (const mem::MemRequest& r : done) {
       out.completed_ids += std::to_string(r.id) + ",";
     }
   };
@@ -626,10 +661,8 @@ TEST(BusBlockedDrain, NewlyReadyWriteFlaggedBesideFlaggedOne) {
   cfg.wq_low = 1;  // drain writes on the idle path as soon as they arrive
   const mem::AddressDecoder dec(geo);
   ControllerT<nvm::FgNvmBank> ctrl(
-      geo, timing, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
-        return std::make_unique<nvm::FgNvmBank>(geo, timing,
-                                                nvm::AccessModes::all_on());
-      });
+      geo, timing, cfg,
+      nvm::FgNvmBank(geo, timing, nvm::AccessModes::all_on()));
   ctrl.set_cross_check(true);
   const auto write = [&](RequestId id, std::uint64_t bank, std::uint64_t row,
                          std::uint64_t col) {
@@ -652,7 +685,7 @@ TEST(BusBlockedDrain, NewlyReadyWriteFlaggedBesideFlaggedOne) {
     return false;
   };
   const auto bank_ready = [&](const mem::MemRequest& w, Cycle now) {
-    const nvm::Bank& bank = *ctrl.banks()[w.addr.bank];
+    const nvm::FgNvmBank& bank = ctrl.banks()[w.addr.bank];
     return bank.row_open(w.addr) &&
            bank.earliest_column(w.addr, OpType::kWrite, now) <= now;
   };

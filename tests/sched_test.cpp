@@ -87,9 +87,7 @@ class ControllerFixture {
     geo_.num_cds = cds;
     decoder_ = std::make_unique<mem::AddressDecoder>(geo_);
     ctrl_ = std::make_unique<ControllerT<nvm::FgNvmBank>>(
-        geo_, timing_, cfg, [&]() -> std::unique_ptr<nvm::Bank> {
-          return std::make_unique<nvm::FgNvmBank>(geo_, timing_, modes);
-        });
+        geo_, timing_, cfg, nvm::FgNvmBank(geo_, timing_, modes));
   }
 
   mem::MemRequest request(std::uint64_t bank, std::uint64_t row,
@@ -105,9 +103,7 @@ class ControllerFixture {
   Cycle run_until_complete(RequestId id, Cycle max_cycles = 100000) {
     for (; now_ < max_cycles; ++now_) {
       ctrl_->tick(now_);
-      for (const auto& done : ctrl_->take_completed()) {
-        completed_.push_back(done);
-      }
+      ctrl_->drain_completed(completed_);
       for (const auto& done : completed_) {
         if (done.id == id) return done.completion;
       }
@@ -120,9 +116,7 @@ class ControllerFixture {
     const Cycle end = now_ + n;
     for (; now_ < end; ++now_) {
       ctrl_->tick(now_);
-      for (const auto& done : ctrl_->take_completed()) {
-        completed_.push_back(done);
-      }
+      ctrl_->drain_completed(completed_);
     }
   }
 

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sys/memory_system.hpp"
 #include "sys/presets.hpp"
@@ -102,9 +103,11 @@ TEST(MemorySystemTest, CompletesARead) {
   MemorySystem mem(fgnvm_config(4, 4));
   const RequestId id = mem.submit(0x4000, OpType::kRead, 0);
   bool done = false;
+  std::vector<mem::MemRequest> completed;
   for (Cycle t = 0; t < 1000 && !done; ++t) {
     mem.tick(t);
-    for (const auto& r : mem.take_completed()) {
+    mem.drain_completed(completed);
+    for (const auto& r : completed) {
       if (r.id == id) {
         done = true;
         EXPECT_GT(r.completion, 0u);
@@ -128,16 +131,19 @@ TEST(MemorySystemTest, RoutesAcrossChannels) {
   mem.submit(0, OpType::kRead, 0);
   mem.submit(64, OpType::kRead, 0);
   for (Cycle t = 0; t < 200; ++t) mem.tick(t);
-  EXPECT_EQ(mem.take_completed().size(), 2u);
+  std::vector<mem::MemRequest> completed;
+  mem.drain_completed(completed);
+  EXPECT_EQ(completed.size(), 2u);
 }
 
 TEST(MemorySystemTest, IdleAfterDrainingEverything) {
   MemorySystem mem(fgnvm_config(4, 4));
   mem.submit(0x4000, OpType::kRead, 0);
   mem.submit(0x8000, OpType::kWrite, 0);
+  std::vector<mem::MemRequest> completed;
   for (Cycle t = 0; t < 5000; ++t) {
     mem.tick(t);
-    (void)mem.take_completed();
+    mem.drain_completed(completed);
   }
   EXPECT_TRUE(mem.idle());
 }
@@ -145,9 +151,10 @@ TEST(MemorySystemTest, IdleAfterDrainingEverything) {
 TEST(MemorySystemTest, EnergyAggregatesAcrossBanks) {
   MemorySystem mem(fgnvm_config(4, 4));
   mem.submit(0x4000, OpType::kRead, 0);
+  std::vector<mem::MemRequest> completed;
   for (Cycle t = 0; t < 200; ++t) {
     mem.tick(t);
-    (void)mem.take_completed();
+    mem.drain_completed(completed);
   }
   const auto e = mem.energy(200);
   EXPECT_GT(e.sense_pj, 0.0);
