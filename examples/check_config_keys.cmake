@@ -1,0 +1,38 @@
+# Checks that fgnvm_sim rejects config keys no component reads: a config
+# with a misspelled key appended must exit 2 and name every such key on
+# stderr, instead of running with the defaults. Every shipped config must
+# still run.
+#
+#   cmake -DSIM=<fgnvm_sim> -DCONFIG=<base.cfg> -DCONFIG_DIR=<configs> \
+#         -DWORK_DIR=<dir> -P check_config_keys.cmake
+foreach(var SIM CONFIG CONFIG_DIR WORK_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "check_config_keys: -D${var}=... is required")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY "${WORK_DIR}")
+file(READ "${CONFIG}" base)
+file(WRITE "${WORK_DIR}/typos.cfg" "${base}\nsagz = 8\ntWP_nss = 1\n")
+execute_process(
+  COMMAND "${SIM}" --config "${WORK_DIR}/typos.cfg" --workload milc --ops 200
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "expected exit 2 for unknown keys, got '${rc}':\n${err}")
+endif()
+foreach(key sagz tWP_nss)
+  string(FIND "${err}" "'${key}'" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "stderr does not name '${key}':\n${err}")
+  endif()
+endforeach()
+
+file(GLOB configs "${CONFIG_DIR}/*.cfg")
+foreach(cfg ${configs})
+  execute_process(
+    COMMAND "${SIM}" --config "${cfg}" --workload milc --ops 200
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 120)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "fgnvm_sim failed on ${cfg} (${rc}):\n${err}")
+  endif()
+endforeach()

@@ -15,6 +15,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "sim/report.hpp"
@@ -114,6 +115,16 @@ int main(int argc, char** argv) {
     }
     const auto* hybrid = std::get_if<sys::HybridSystemConfig>(&spec);
     const cpu::CpuParams cpu_params = cpu::CpuParams::from_config(raw);
+    // Every component has read its keys now: anything left is a key no
+    // component knows (a misspelling would otherwise run the defaults).
+    if (const std::vector<std::string> unread = raw.unread_keys();
+        !unread.empty()) {
+      std::cerr << "error: " << opts->config_path
+                << ": unknown config key(s):";
+      for (const std::string& key : unread) std::cerr << " '" << key << "'";
+      std::cerr << "\n";
+      return 2;
+    }
 
     trace::Trace tr;
     if (opts->trace_path) {

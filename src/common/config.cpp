@@ -86,6 +86,7 @@ bool Config::contains(const std::string& key) const {
 }
 
 std::optional<std::string> Config::find(const std::string& key) const {
+  asked_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -155,6 +156,14 @@ std::vector<std::string> Config::keys() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
+  return out;
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, _] : values_) {
+    if (asked_.count(k) == 0) out.push_back(k);
+  }
   return out;
 }
 

@@ -2,12 +2,16 @@
 //
 // Values are stored as strings and converted on access. Components read their
 // parameters through typed getters with defaults, so a config file only needs
-// to name the parameters it overrides.
+// to name the parameters it overrides. The getters record every key they
+// are asked for, so a front end can reject keys no component read (a
+// misspelled key would otherwise run the defaults silently). That record
+// makes concurrent reads of one Config a data race: build per thread.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,6 +49,11 @@ class Config {
   /// All keys in sorted order (for dumping / diffing configs).
   std::vector<std::string> keys() const;
 
+  /// Keys set in this config that no typed getter (get_* / require_*) has
+  /// been asked for, in sorted order. After every component has built its
+  /// parameters from the config, these are keys nothing reads.
+  std::vector<std::string> unread_keys() const;
+
   /// Overlays `other` on top of this config (other wins on conflicts).
   void merge(const Config& other);
 
@@ -55,6 +64,7 @@ class Config {
   std::optional<std::string> find(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> asked_;  // every key a getter looked up
 };
 
 }  // namespace fgnvm

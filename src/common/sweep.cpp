@@ -10,6 +10,20 @@
 
 namespace fgnvm::sim {
 
+namespace {
+
+thread_local bool t_in_item = false;
+
+/// Marks the current thread as running a sweep item for its lifetime.
+struct ItemScope {
+  ItemScope() { t_in_item = true; }
+  ~ItemScope() { t_in_item = false; }
+};
+
+}  // namespace
+
+bool SweepRunner::in_item() { return t_in_item; }
+
 std::uint64_t clamp_thread_count(std::uint64_t requested, const char* what) {
   if (requested == 0) {
     log_warn(what, "=0 is invalid; falling back to 1 thread");
@@ -62,6 +76,7 @@ void SweepRunner::run_items(std::unique_lock<std::mutex>& lock) {
     ++in_flight_;
     lock.unlock();
     try {
+      const ItemScope scope;
       (*job_)(i);
       lock.lock();
     } catch (...) {

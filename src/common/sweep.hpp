@@ -48,6 +48,11 @@ class SweepRunner {
     return static_cast<unsigned>(workers_.size()) + 1;
   }
 
+  /// True on a thread that is running a SweepRunner item right now. A run
+  /// inside a sweep starts no helper threads of its own: the sweep already
+  /// keeps every core busy.
+  static bool in_item();
+
   /// Runs fn(0) .. fn(n-1), each exactly once, distributed over the pool.
   /// Blocks until all items finish. If any item throws, the remaining
   /// undispatched items are skipped and the first exception (in completion

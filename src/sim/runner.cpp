@@ -560,19 +560,19 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
         bool advanced = false;
         // Windowed advance: the next record is blocked on its target
         // channel, whose can_accept answer can only change at that channel's
-        // own tick cycles. Run the target channel along its event chain
-        // until capacity frees, then bring every other channel up to the
-        // same resume cycle — while blocked no channel receives submissions,
-        // so the chains are independent and the result matches the serial
-        // per-event schedule bit for bit. After trace exhaustion, stick to the event path so
-        // the final drain-out cycle (and hence mem_cycles) matches the
-        // per-event schedule.
+        // own tick cycles. advance_until_accept runs the target channel
+        // along its event chain until capacity frees and brings every other
+        // channel up to the same resume cycle (on helper threads when the
+        // walk is long) — while blocked no channel receives submissions, so
+        // the chains are independent and the result matches the serial
+        // per-event schedule bit for bit. After trace exhaustion, stick to
+        // the event path so the final drain-out cycle (and hence
+        // mem_cycles) matches the per-event schedule.
         if (windows && pending) {
           const Cycle resume =
               mem.advance_until_accept(rec.addr, rec.op, max_mem_cycles);
           if (std::min(resume, max_mem_cycles) > next) {
             next = std::min(resume, max_mem_cycles);
-            mem.advance_channels_to(next);
             advanced = true;
           }
         }

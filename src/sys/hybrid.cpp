@@ -441,13 +441,11 @@ Cycle HybridMemorySystem::accept_event(Addr addr) const {
 Cycle HybridMemorySystem::advance_until_accept(Addr addr, OpType op,
                                                Cycle limit) {
   if (mig_wake_ != kNeverCycle) limit = std::min(limit, mig_wake_);
-  // Advance the channel the request actually routes to (a remapped row
-  // blocks on the DRAM partition, not its home NVM channel).
-  const std::uint64_t ch = route(decoder_.decode(addr));
-  const Cycle resume = channels_[ch]->advance_until_accept(due_[ch], op, limit);
-  due_[ch] = resume;
-  maybe_completed_[ch] = 1;
-  recompute_min_due();
+  // Walk the channel the request actually routes to (a remapped row blocks
+  // on the DRAM partition, not its home NVM channel); no channel runs past
+  // the engine's next injection cycle.
+  const Cycle resume =
+      walk_until_accept(route(decoder_.decode(addr)), op, limit);
   return mig_wake_ == kNeverCycle ? resume : std::min(resume, mig_wake_);
 }
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/bitutil.hpp"
 #include "common/config.hpp"
@@ -241,6 +243,15 @@ TEST(Config, BoolSpellings) {
   EXPECT_FALSE(cfg.get_bool("b", true));
   EXPECT_TRUE(cfg.get_bool("c", false));
   EXPECT_FALSE(cfg.get_bool("d", true));
+}
+
+TEST(Config, UnreadKeysAreTheOnesNoGetterAskedFor) {
+  const auto cfg = Config::from_string("sags = 4\nsagz = 8\ntWP_nss = 1\n");
+  EXPECT_EQ(cfg.unread_keys(),
+            (std::vector<std::string>{"sags", "sagz", "tWP_nss"}));
+  EXPECT_EQ(cfg.get_u64("sags", 1), 4u);
+  EXPECT_EQ(cfg.get_double("tWP_ns", 150.0), 150.0);  // asked, but unset
+  EXPECT_EQ(cfg.unread_keys(), (std::vector<std::string>{"sagz", "tWP_nss"}));
 }
 
 TEST(Table, AlignsAndRejectsBadArity) {

@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -257,14 +259,15 @@ INSTANTIATE_TEST_SUITE_P(Dram, SchedIndexTest,
 
 // ---------------------------------------------------------------------------
 // MemorySystem-level differential: the lazy per-channel due caches (and the
-// windowed advance_channels_to on top of them, serial and threaded) must
-// yield the same simulation as eager all-channel ticking over a random
-// multi-channel stream. Arrivals are pre-scheduled so every mode is offered
-// the identical stream no matter how it advances time; a request is then
-// submitted at the first visited cycle at/after its arrival where the
-// channel accepts — which is the same cycle in every mode, because
-// acceptance only changes at actionable cycles and next_event never
-// overshoots one.
+// windows on top of them: advance_until_accept while the head arrival is
+// blocked, overlapped on helper threads once a walk outlasts the gate, and
+// advance_channels_to after the last arrival) must yield the same
+// simulation as eager all-channel ticking over a random multi-channel
+// stream. Arrivals are pre-scheduled so every mode is offered the identical
+// stream no matter how it advances time; a request is then submitted at
+// the first visited cycle at/after its arrival where the channel accepts —
+// which is the same cycle in every mode, because acceptance only changes at
+// actionable cycles and next_event never overshoots one.
 
 struct Arrival {
   Cycle at;
@@ -273,7 +276,9 @@ struct Arrival {
 };
 
 std::vector<Arrival> plan_arrivals(const sys::MemorySystem& mem,
-                                   std::uint64_t ops, std::uint64_t seed) {
+                                   std::uint64_t ops, std::uint64_t seed,
+                                   double write_fraction = 0.35,
+                                   std::uint64_t max_gap = 6) {
   const mem::MemGeometry& geo = mem.config().geometry;
   Rng rng(seed);
   std::vector<Arrival> plan;
@@ -281,23 +286,25 @@ std::vector<Arrival> plan_arrivals(const sys::MemorySystem& mem,
   Cycle at = 0;
   std::uint64_t hot_row = 0;
   for (std::uint64_t i = 0; i < ops; ++i) {
-    at += rng.next_below(6);  // bursty: zero gaps allowed
+    at += rng.next_below(max_gap);  // bursty: zero gaps allowed
     if (rng.next_bool(0.05)) hot_row = rng.next_below(geo.rows_per_bank);
     const std::uint64_t row =
         rng.next_bool(0.7) ? hot_row : rng.next_below(geo.rows_per_bank);
     const Addr addr = mem.decoder().encode(
         rng.next_below(geo.channels), 0, rng.next_below(geo.banks_per_rank),
         row, rng.next_below(geo.lines_per_row()));
-    const OpType op = rng.next_bool(0.35) ? OpType::kWrite : OpType::kRead;
+    const OpType op =
+        rng.next_bool(write_fraction) ? OpType::kWrite : OpType::kRead;
     plan.push_back({at, addr, op});
   }
   return plan;
 }
 
 /// Drives `plan` to completion and renders the final merged stats plus the
-/// completed-read count. `windowed` adds advance_channels_to windows (only
-/// meaningful under lazy scheduling) once arrivals are exhausted, bounded by
-/// completion_bound so no drain is skipped.
+/// completed-read count. `windowed` (only meaningful under lazy scheduling)
+/// walks to the resume cycle with advance_until_accept while the head
+/// arrival is blocked, and adds advance_channels_to windows bounded by
+/// completion_bound once arrivals are exhausted, so no drain is skipped.
 std::string run_system(const sys::SystemConfig& cfg, bool eager, bool windowed,
                        const std::vector<Arrival>& plan) {
   sys::MemorySystem mem(cfg);
@@ -324,6 +331,12 @@ std::string run_system(const sys::SystemConfig& cfg, bool eager, bool windowed,
     if (step == kNeverCycle) {
       if (next >= plan.size()) break;  // drained and no arrivals left
       now = std::max(plan[next].at, now + 1);  // idle gap to the next burst
+    } else if (windowed && mem.lazy_scheduling() && backpressured) {
+      // Completions buffer until the resume cycle: only the count is
+      // checked, and it is drained in channel order there as in every mode.
+      now = std::max(mem.advance_until_accept(plan[next].addr,
+                                              plan[next].op, kNeverCycle),
+                     now + 1);
     } else if (windowed && mem.lazy_scheduling() && next >= plan.size()) {
       const Cycle bound = mem.completion_bound(now);
       if (bound != kNeverCycle && bound > step) {
@@ -345,14 +358,43 @@ std::string run_system(const sys::SystemConfig& cfg, bool eager, bool windowed,
          std::to_string(mem.submitted_reads() + mem.submitted_writes());
 }
 
+/// One input of the differential: a system and the shape of its stream.
+struct DifferentialCase {
+  sys::SystemConfig cfg;
+  std::uint64_t ops;
+  double write_fraction;
+  std::uint64_t max_gap;
+};
+
+/// FgNVM 8x8 with deep queues (64 reads, 128 writes, drain 64/16) under a
+/// write-heavy stream that arrives faster than it drains: walks to the
+/// freeing tick outlast the gate, so the windowed run overlaps them.
+DifferentialCase deep_write_heavy_case() {
+  sys::SystemConfig cfg = sys::fgnvm_config(8, 8);
+  cfg.controller.read_queue_cap = 64;
+  cfg.controller.write_queue_cap = 128;
+  cfg.controller.wq_high = 64;
+  cfg.controller.wq_low = 16;
+  return {cfg, 4000, 0.8, 2};
+}
+
 TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
-  for (sys::SystemConfig cfg :
-       {sys::fgnvm_config(4, 4), sys::dram_config(4)}) {
+  // Four channels always have helpers to hand out, whatever the host.
+  std::optional<std::string> saved;
+  if (const char* old = std::getenv("FGNVM_THREADS")) saved = old;
+  setenv("FGNVM_THREADS", "4", 1);
+  const std::uint64_t episodes = sys::MemorySystem::overlap_episodes();
+  for (DifferentialCase c :
+       {DifferentialCase{sys::fgnvm_config(4, 4), 500, 0.35, 6},
+        DifferentialCase{sys::dram_config(4), 500, 0.35, 6},
+        deep_write_heavy_case()}) {
+    sys::SystemConfig& cfg = c.cfg;
     cfg.geometry.channels = 4;
     cfg.geometry.validate();
     for (const std::uint64_t seed : {11ull, 12ull}) {
       const sys::MemorySystem probe(cfg);
-      const std::vector<Arrival> plan = plan_arrivals(probe, 500, seed);
+      const std::vector<Arrival> plan =
+          plan_arrivals(probe, c.ops, seed, c.write_fraction, c.max_gap);
       const std::string eager = run_system(cfg, true, false, plan);
       EXPECT_NE(eager.find("completed_reads="), std::string::npos);
       EXPECT_EQ(eager, run_system(cfg, false, false, plan))
@@ -360,6 +402,13 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
       EXPECT_EQ(eager, run_system(cfg, false, true, plan))
           << cfg.name << " windowed seed " << seed;
     }
+  }
+  EXPECT_GT(sys::MemorySystem::overlap_episodes(), episodes)
+      << "the deep write-heavy case never overlapped a blocked walk";
+  if (saved) {
+    setenv("FGNVM_THREADS", saved->c_str(), 1);
+  } else {
+    unsetenv("FGNVM_THREADS");
   }
 }
 

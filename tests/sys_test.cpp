@@ -84,7 +84,8 @@ void expect_removed_key(const std::string& text, const std::string& key) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'" + key + "' was removed"), std::string::npos)
         << what;
-    EXPECT_NE(what.find("channel advance is serial"), std::string::npos)
+    EXPECT_NE(what.find("FGNVM_THREADS sizes the channel helpers"),
+              std::string::npos)
         << what;
   }
 }
