@@ -189,32 +189,15 @@ int main(int argc, char** argv) {
   const double sharded_mem_ops_per_sec =
       static_cast<double>(ops) * runs / sh_secs;
 
-  // Threaded variants, once each, for the scaling evidence: the drop in the
-  // slowest worker's CPU seconds from 1 shard to 4 shards is the signal that
-  // survives one-core runners (wall clock cannot scale where nproc=1, as
-  // CHANGES.md PR 4 established) — ops / max-worker-CPU projects the
-  // aggregate throughput a 4-core host would see. Informational (not
+  // One threaded 4-shard run for the wall-clock figure. Informational (not
   // gated): thread timing on shared runners is too noisy for a ±15% floor.
-  auto max_worker_cpu = [](const tile::ShardedRunResult& r) {
-    double mx = 0.0;
-    for (const tile::ShardMetrics& m : r.shards) {
-      if (m.cpu_seconds > mx) mx = m.cpu_seconds;
-    }
-    return mx;
-  };
   tile::TopologyConfig tile_mt = tile_cfg;
   tile_mt.worker_threads = true;
-  tile_mt.shards = 1;
-  const tile::ShardedRunResult mt1 = tile::run_sharded(tr, mc_cfg, tile_mt);
-  const double sh_cpu_1shard = max_worker_cpu(mt1);
-  tile_mt.shards = 4;
   const auto tt = clock::now();
   const tile::ShardedRunResult mt = tile::run_sharded(tr, mc_cfg, tile_mt);
   const double sh_mt_wall =
       std::chrono::duration<double>(clock::now() - tt).count();
-  const double sh_cpu_4shard = max_worker_cpu(mt);
-  if (mt1.run.reads + mt1.run.writes == 0 ||
-      mt.run.reads + mt.run.writes == 0) {
+  if (mt.run.reads + mt.run.writes == 0) {
     std::cerr << "perf_smoke: threaded sharded run retired no memory ops\n";
     return 1;
   }
@@ -524,10 +507,6 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"sharded_shards\": " << tile_cfg.shards << ",\n"
        << "  \"sharded_threaded_wall_seconds\": " << sh_mt_wall << ",\n"
-       << "  \"sharded_worker_cpu_seconds_1shard\": " << sh_cpu_1shard
-       << ",\n"
-       << "  \"sharded_worker_cpu_seconds_4shard\": " << sh_cpu_4shard
-       << ",\n"
        << "  \"hybrid_mem_ops_per_sec\": " << hybrid_mem_ops_per_sec << ",\n"
        << "  \"compute_bound_mem_ops_per_sec\": "
        << compute_bound_mem_ops_per_sec << ",\n"
@@ -557,10 +536,6 @@ int main(int argc, char** argv) {
             << "sharded mem-ops/sec: " << sharded_mem_ops_per_sec << " ("
             << runs << " x " << ops << " ops, " << tile_cfg.shards
             << " shards, serial coordinator)\n"
-            << "sharded threaded: slowest worker " << sh_cpu_1shard * 1e3
-            << " ms CPU at 1 shard -> " << sh_cpu_4shard * 1e3
-            << " ms at 4 shards (projected 4-core aggregate "
-            << static_cast<double>(ops) / sh_cpu_4shard << " ops/s)\n"
             << "hybrid mem-ops/sec: " << hybrid_mem_ops_per_sec << " (" << runs
             << " x " << ops << " ops, RBLA hybrid, hot set)\n"
             << "compute-bound mem-ops/sec: " << compute_bound_mem_ops_per_sec

@@ -1,6 +1,7 @@
 # Checks that fgnvm_sim rejects config keys no component reads: a config
 # with a misspelled key appended must exit 2 and name every such key on
-# stderr, instead of running with the defaults. Every shipped config must
+# stderr, with a "did you mean" hint for a near miss, instead of running
+# with the defaults. Every shipped config must
 # still run.
 #
 #   cmake -DSIM=<fgnvm_sim> -DCONFIG=<base.cfg> -DCONFIG_DIR=<configs> \
@@ -24,6 +25,18 @@ foreach(key sagz tWP_nss)
   string(FIND "${err}" "'${key}'" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "stderr does not name '${key}':\n${err}")
+  endif()
+endforeach()
+# Each unknown key within edit distance 2 of a key some component reads
+# carries a hint naming that key.
+foreach(pair "sagz=sags" "tWP_nss=tWP_ns")
+  string(REPLACE "=" ";" pair "${pair}")
+  list(GET pair 0 typo)
+  list(GET pair 1 known)
+  set(hint "'${typo}' (did you mean '${known}'?)")
+  string(FIND "${err}" "${hint}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "stderr lacks the hint \"${hint}\":\n${err}")
   endif()
 endforeach()
 

@@ -121,7 +121,12 @@ int main(int argc, char** argv) {
         !unread.empty()) {
       std::cerr << "error: " << opts->config_path
                 << ": unknown config key(s):";
-      for (const std::string& key : unread) std::cerr << " '" << key << "'";
+      for (const std::string& key : unread) {
+        std::cerr << " '" << key << "'";
+        if (const auto hint = raw.nearest_asked_key(key)) {
+          std::cerr << " (did you mean '" << *hint << "'?)";
+        }
+      }
       std::cerr << "\n";
       return 2;
     }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace fgnvm {
 
@@ -15,6 +16,23 @@ std::string trim(const std::string& s) {
   if (begin == std::string::npos) return "";
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
+}
+
+/// Levenshtein distance (unit-cost insert, delete, substitute).
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];  // row[i-1][j-1]
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];  // row[i-1][j]
+      row[j] = std::min({up + 1, row[j - 1] + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
 }
 
 }  // namespace
@@ -165,6 +183,21 @@ std::vector<std::string> Config::unread_keys() const {
     if (asked_.count(k) == 0) out.push_back(k);
   }
   return out;
+}
+
+std::optional<std::string> Config::nearest_asked_key(
+    const std::string& key) const {
+  constexpr std::size_t kMaxDistance = 2;
+  std::optional<std::string> best;
+  std::size_t best_distance = kMaxDistance + 1;
+  for (const std::string& asked : asked_) {
+    const std::size_t d = edit_distance(key, asked);
+    if (d < best_distance) {
+      best = asked;
+      best_distance = d;
+    }
+  }
+  return best;
 }
 
 void Config::merge(const Config& other) {

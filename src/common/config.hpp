@@ -54,6 +54,11 @@ class Config {
   /// parameters from the config, these are keys nothing reads.
   std::vector<std::string> unread_keys() const;
 
+  /// The key a typed getter has been asked for that is nearest to `key` by
+  /// edit distance, if one lies within 2 edits (ties go to the first in
+  /// sorted order): the "did you mean" hint for an unread key.
+  std::optional<std::string> nearest_asked_key(const std::string& key) const;
+
   /// Overlays `other` on top of this config (other wins on conflicts).
   void merge(const Config& other);
 

@@ -18,8 +18,11 @@ TimingParams TimingParams::from_config(const Config& cfg) {
     throw std::runtime_error("TimingParams: clock_mhz must be positive");
   }
 
+  // The getter runs even when the key is unset, so the config records every
+  // timing key as one a component reads (the "did you mean" candidates).
   const auto ns_param = [&](const char* key, Cycle dflt) {
-    return cfg.contains(key) ? t.ns_to_cycles(cfg.get_double(key, 0.0)) : dflt;
+    const double ns = cfg.get_double(key, 0.0);
+    return cfg.contains(key) ? t.ns_to_cycles(ns) : dflt;
   };
   // Recompute defaults at the configured clock so overriding only clock_mhz
   // keeps the Table-2 nanosecond values.

@@ -180,101 +180,22 @@ class Differ {
 
 // ------------------------------------------------------------ loop bodies
 
-RunResult run_workload_loop(trace::RecordSource& source,
-                            const SystemSpec& spec,
-                            const cpu::CpuParams& cpu_params,
-                            Cycle max_mem_cycles, bool skip) {
+using Cores = std::vector<std::unique_ptr<cpu::RobCpu>>;
+
+/// The full-system loop: one ROB core per source in front of one memory
+/// system. run_workload is its one-core run and run_multiprogrammed its
+/// n-core run; `assemble(mem, cores, mem_cycles)` turns the finished system
+/// and cores into the entry's result. `label` names the run (source or core
+/// count, then config) in the overrun error of `entry`.
+template <typename Assemble>
+auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
+                    const SystemSpec& spec, const cpu::CpuParams& cpu_params,
+                    Cycle max_mem_cycles, bool skip, const char* entry,
+                    const std::string& label, const Assemble& assemble) {
   const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system(spec);
   sys::MemorySystem& mem = *mem_ptr;
   if (!skip) mem.set_eager_ticking(true);
-  source.reset();  // paranoid double-runs replay the same stream
-  cpu::RobCpu core(source, cpu_params, mem);
-  if (obs::Observer* o = mem.observer()) {
-    o->set_instruction_source([&core] { return core.instructions_retired(); });
-  }
-  const bool windows = skip && mem.lazy_scheduling();
-  const obs::Observer* const observer = mem.observer();
-  std::vector<mem::MemRequest> done;
-
-  Cycle t = 0;
-  while (!core.finished() || !mem.idle()) {
-    if (t >= max_mem_cycles) {
-      throw std::runtime_error("run_workload: exceeded max_mem_cycles on " +
-                               source.name() + " / " + mem.config().name);
-    }
-    mem.drain_completed(done);
-    core.complete(done);
-    core.tick_mem_cycle(t);
-    mem.tick(t);
-    Cycle next = t + 1;
-    // Fast-forward: classify the core's next externally visible action and
-    // jump straight to it, bounded by the memory side's own schedule so no
-    // completion delivery (which would invalidate the classification) is
-    // skipped over. A finished core is inert — treat it as kStalled.
-    cpu::RobCpu::Action act;
-    if (skip && !core.finished()) act = core.next_action(next);
-    if (skip &&
-        !(act.kind == cpu::RobCpu::ActionKind::kActs && act.cycle <= next)) {
-      bool advanced = false;
-      // Windowed advance: run every channel along its own event chain up to
-      // the earliest cycle the core could be disturbed — a completion
-      // delivery (completion_bound), the blocked channel's next chance to
-      // free queue space (accept_event), or the core's own next submission
-      // (act.cycle) — instead of returning to this loop at each global
-      // event. Requires a valid bound; during pure write drain with the
-      // core finished or stalled, fall through to the event path so the
-      // final mem_cycles matches the per-event schedule.
-      if (windows) {
-        Cycle horizon = mem.completion_bound(t);
-        if (act.kind == cpu::RobCpu::ActionKind::kBackpressured) {
-          horizon = std::min(horizon, mem.accept_event(act.addr));
-        } else if (act.kind == cpu::RobCpu::ActionKind::kActs) {
-          // completion_bound may be kNeverCycle here (no read in flight and
-          // none queued): the core still wakes the loop at act.cycle, so the
-          // horizon stays valid and never overshoots the exit cycle.
-          horizon = std::min(horizon, act.cycle);
-        }
-        if (horizon != kNeverCycle &&
-            std::min(horizon, max_mem_cycles) > next) {
-          next = std::min(horizon, max_mem_cycles);
-          mem.advance_channels_to(next);
-          advanced = true;
-        }
-      }
-      if (!advanced) {
-        Cycle event = mem.next_event(t);
-        if (act.kind == cpu::RobCpu::ActionKind::kActs) {
-          event = std::min(event, act.cycle);
-        }
-        if (event > next && event != kNeverCycle) {
-          next = std::min(event, max_mem_cycles);
-        }
-      }
-      // An observer turns windows off, and its next sample lies past t, so
-      // the cap keeps next > t while every epoch sample lands on the cycle
-      // the cycle-accurate loop samples.
-      if (observer != nullptr) next = std::min(next, observer->next_sample());
-      if (next > t + 1 && !core.finished()) core.advance_to(t + 1, next);
-    }
-    t = next;
-  }
-
-  RunResult r = finalize(source.name(), mem, t);
-  r.instructions = core.instructions_retired();
-  r.cpu_cycles = core.cpu_cycles();
-  r.ipc = core.ipc();
-  r.fetch_stall_cycles = core.fetch_stall_cycles();
-  r.backpressure_stalls = core.mem_backpressure_stalls();
-  return r;
-}
-
-MultiProgramResult run_multiprogrammed_loop(
-    const std::vector<trace::RecordSource*>& sources, const SystemSpec& spec,
-    const cpu::CpuParams& cpu_params, Cycle max_mem_cycles, bool skip) {
-  const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system(spec);
-  sys::MemorySystem& mem = *mem_ptr;
-  if (!skip) mem.set_eager_ticking(true);
-  std::vector<std::unique_ptr<cpu::RobCpu>> cores;
+  Cores cores;
   cores.reserve(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     sources[i]->reset();  // every loop run replays the stream from the top
@@ -288,6 +209,10 @@ MultiProgramResult run_multiprogrammed_loop(
       return n;
     });
   }
+  const auto overrun = [&]() {
+    return std::runtime_error(std::string(entry) +
+                              ": exceeded max_mem_cycles on " + label);
+  };
 
   const std::size_t n = cores.size();
   // Per-core runner state lives in a reusable per-thread arena (completion
@@ -298,24 +223,6 @@ MultiProgramResult run_multiprogrammed_loop(
   std::vector<mem::MemRequest>& done = scratch.done;
   std::vector<std::vector<mem::MemRequest>>& per_core = scratch.per_core;
 
-  const auto build_result = [&](Cycle mem_cycles) {
-    MultiProgramResult r;
-    r.mem_cycles = mem_cycles;
-    r.energy = mem.energy(mem_cycles);
-    r.controller = mem.controller_stats();
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      r.workloads.push_back(sources[i]->name());
-      r.ipc.push_back(cores[i]->ipc());
-      r.cpu_cycles.push_back(cores[i]->cpu_cycles());
-    }
-    mem.finalize_obs(mem_cycles);
-    if (obs::Observer* o = mem.observer()) {
-      o->set_run_info("multiprogram", mem.config().name);
-      o->set_instruction_source(nullptr);  // captures the loop-local cores
-    }
-    r.obs = mem.observer_ptr();
-    return r;
-  };
   // Completions routed by cpu_tag, so each core scans only its own
   // requests instead of every core scanning the full drain. `touched`
   // lists the non-empty buckets, so clearing costs O(touched) rather than
@@ -344,10 +251,7 @@ MultiProgramResult run_multiprogrammed_loop(
     };
     Cycle t = 0;
     while (!all_finished() || !mem.idle()) {
-      if (t >= max_mem_cycles) {
-        throw std::runtime_error(
-            "run_multiprogrammed: exceeded max_mem_cycles");
-      }
+      if (t >= max_mem_cycles) throw overrun();
       if (route_completions()) {
         for (std::size_t i = 0; i < cores.size(); ++i) {
           cores[i]->complete(per_core[i]);
@@ -359,7 +263,7 @@ MultiProgramResult run_multiprogrammed_loop(
       mem.tick(t);
       ++t;
     }
-    return build_result(t);
+    return assemble(mem, cores, t);
   }
 
   // Wake-calendar schedule (DESIGN.md §16). Each core carries a synced
@@ -422,9 +326,7 @@ MultiProgramResult run_multiprogrammed_loop(
 
   Cycle t = 0;
   while (unfinished > 0 || !mem.idle()) {
-    if (t >= max_mem_cycles) {
-      throw std::runtime_error("run_multiprogrammed: exceeded max_mem_cycles");
-    }
+    if (t >= max_mem_cycles) throw overrun();
     route_completions();
     woken_list.clear();
     for (const std::uint32_t i : scratch.touched) {
@@ -445,7 +347,6 @@ MultiProgramResult run_multiprogrammed_loop(
     }
     std::sort(woken_list.begin(), woken_list.end());
     for (const std::uint32_t i : woken_list) {
-      stamp[i] = 0;
       // A completion invalidates the cached action (retirement unblocks, so
       // the core may reach its next record sooner); catch up to the present
       // first so the answered flag lands in a state identical to eager.
@@ -483,10 +384,12 @@ MultiProgramResult run_multiprogrammed_loop(
     }
     // Refresh every backpressured core (woken or not): a tick this very
     // cycle may already have freed space — probe can_accept so the wake
-    // lands on the first acceptable cycle.
+    // lands on the first acceptable cycle. A core woken (stamped) in this
+    // iteration skips the probe: next_action classifies kBackpressured only
+    // after can_accept refused its record in this same memory state.
     Cycle bp_min = kNeverCycle;
     for (const std::uint32_t i : bp_list) {
-      if (mem.can_accept(acts[i].addr, acts[i].op)) {
+      if (!stamp[i] && mem.can_accept(acts[i].addr, acts[i].op)) {
         due[i] = t + 1;
       } else if (windows) {
         due[i] = std::max(mem.accept_event(acts[i].addr), t + 1);
@@ -495,26 +398,32 @@ MultiProgramResult run_multiprogrammed_loop(
       }
       bp_min = std::min(bp_min, due[i]);
     }
+    for (const std::uint32_t i : woken_list) stamp[i] = 0;
     const Cycle min_due = std::min(cal.min_due(), bp_min);
     Cycle next = t + 1;
-    bool advanced = false;
-    if (windows) {
-      // Windowed advance: run every channel along its own event chain up to
-      // the earliest cycle any core could be disturbed or act. Valid bounds
-      // only — during pure write drain with every core stalled or finished,
-      // fall through to the event path so the final mem_cycles matches the
-      // per-event schedule.
-      const Cycle horizon = std::min(mem.completion_bound(t), min_due);
-      if (horizon != kNeverCycle && std::min(horizon, max_mem_cycles) > next) {
-        next = std::min(horizon, max_mem_cycles);
-        mem.advance_channels_to(next);
-        advanced = true;
+    // Every due is > t, so min_due == t + 1 pins the next cycle: neither
+    // bound below could move it, and they are not asked.
+    if (min_due > next) {
+      bool advanced = false;
+      if (windows) {
+        // Windowed advance: run every channel along its own event chain up
+        // to the earliest cycle any core could be disturbed or act. Valid
+        // bounds only — during pure write drain with every core stalled or
+        // finished, fall through to the event path so the final mem_cycles
+        // matches the per-event schedule.
+        const Cycle horizon = std::min(mem.completion_bound(t), min_due);
+        if (horizon != kNeverCycle &&
+            std::min(horizon, max_mem_cycles) > next) {
+          next = std::min(horizon, max_mem_cycles);
+          mem.advance_channels_to(next);
+          advanced = true;
+        }
       }
-    }
-    if (!advanced) {
-      const Cycle event = std::min(mem.next_event(t), min_due);
-      if (event > next && event != kNeverCycle) {
-        next = std::min(event, max_mem_cycles);
+      if (!advanced) {
+        const Cycle event = std::min(mem.next_event(t), min_due);
+        if (event > next && event != kNeverCycle) {
+          next = std::min(event, max_mem_cycles);
+        }
       }
     }
     // An observer turns windows off (no channel was advanced), and its next
@@ -525,7 +434,7 @@ MultiProgramResult run_multiprogrammed_loop(
     cal.advance_to(next);
     t = next;
   }
-  return build_result(t);
+  return assemble(mem, cores, t);
 }
 
 RunResult run_memory_only_loop(trace::RecordSource& source,
@@ -582,7 +491,7 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
             next = std::min(event, max_mem_cycles);
           }
         }
-        // As in run_workload_loop: no skip passes an epoch sample.
+        // As in the full-system loop: no skip passes an epoch sample.
         if (observer != nullptr) {
           next = std::min(next, observer->next_sample());
         }
@@ -745,12 +654,25 @@ auto checked_run(const Loop& loop, LoopMode mode, const std::string& label) {
 RunResult run_workload(trace::RecordSource& source, const SystemSpec& spec,
                        const cpu::CpuParams& cpu_params, Cycle max_mem_cycles,
                        LoopMode mode) {
+  const std::vector<trace::RecordSource*> sources{&source};
+  const std::string label = source.name() + " / " + system_name(spec);
+  const auto assemble = [&](sys::MemorySystem& mem, const Cores& cores,
+                            Cycle mem_cycles) {
+    const cpu::RobCpu& core = *cores.front();
+    RunResult r = finalize(source.name(), mem, mem_cycles);
+    r.instructions = core.instructions_retired();
+    r.cpu_cycles = core.cpu_cycles();
+    r.ipc = core.ipc();
+    r.fetch_stall_cycles = core.fetch_stall_cycles();
+    r.backpressure_stalls = core.mem_backpressure_stalls();
+    return r;
+  };
   return checked_run(
       [&](bool skip) {
-        return run_workload_loop(source, spec, cpu_params, max_mem_cycles,
-                                 skip);
+        return run_cores_loop(sources, spec, cpu_params, max_mem_cycles, skip,
+                              "run_workload", label, assemble);
       },
-      mode, source.name() + " / " + system_name(spec));
+      mode, label);
 }
 
 RunResult run_workload(const trace::Trace& trace, const SystemSpec& spec,
@@ -781,12 +703,33 @@ MultiProgramResult run_multiprogrammed(
   if (sources.empty()) {
     throw std::invalid_argument("run_multiprogrammed: no traces");
   }
+  const std::string label =
+      std::to_string(sources.size()) + " cores / " + system_name(spec);
+  const auto assemble = [&](sys::MemorySystem& mem, const Cores& cores,
+                            Cycle mem_cycles) {
+    MultiProgramResult r;
+    r.mem_cycles = mem_cycles;
+    r.energy = mem.energy(mem_cycles);
+    r.controller = mem.controller_stats();
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      r.workloads.push_back(sources[i]->name());
+      r.ipc.push_back(cores[i]->ipc());
+      r.cpu_cycles.push_back(cores[i]->cpu_cycles());
+    }
+    mem.finalize_obs(mem_cycles);
+    if (obs::Observer* o = mem.observer()) {
+      o->set_run_info("multiprogram", mem.config().name);
+      o->set_instruction_source(nullptr);  // captures the loop-local cores
+    }
+    r.obs = mem.observer_ptr();
+    return r;
+  };
   return checked_run(
       [&](bool skip) {
-        return run_multiprogrammed_loop(sources, spec, cpu_params,
-                                        max_mem_cycles, skip);
+        return run_cores_loop(sources, spec, cpu_params, max_mem_cycles, skip,
+                              "run_multiprogrammed", label, assemble);
       },
-      mode, "multiprogram / " + system_name(spec));
+      mode, label);
 }
 
 MultiProgramResult run_multiprogrammed(const std::vector<trace::Trace>& traces,

@@ -72,7 +72,9 @@ using SystemSpec = std::variant<sys::SystemConfig, sys::HybridSystemConfig>;
 // replays the identical stream. Every run throws std::runtime_error if it
 // exceeds `max_mem_cycles` (deadlock guard).
 
-/// Full-system run: ROB CPU in front of the memory system.
+/// Full-system run: ROB CPU in front of the memory system. This is the
+/// one-core run of the loop behind run_multiprogrammed, so alone and shared
+/// IPCs come from the same engine.
 RunResult run_workload(trace::RecordSource& source, const SystemSpec& spec,
                        const cpu::CpuParams& cpu_params = {},
                        Cycle max_mem_cycles = 500'000'000,
@@ -141,7 +143,7 @@ struct MultiProgramResult {
 ///
 /// The skip loop's wake schedule is the indexed wake calendar
 /// (src/sim/wake_calendar.hpp); FGNVM_PARANOID cross-checks it against the
-/// cycle-accurate loop.
+/// cycle-accurate loop. run_workload is the one-core run of the same loop.
 MultiProgramResult run_multiprogrammed(
     const std::vector<trace::RecordSource*>& sources, const SystemSpec& spec,
     const cpu::CpuParams& cpu_params = {},

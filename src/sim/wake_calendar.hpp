@@ -1,4 +1,4 @@
-// Indexed wake calendar for the multiprogrammed runner (DESIGN.md §16).
+// Indexed wake calendar for the full-system runner loop (DESIGN.md §16).
 //
 // Tracks one pending wake cycle per core so the run loop can answer "which
 // cores are due at cycle t?" and "what is the earliest pending wake?"
@@ -41,9 +41,6 @@ class WakeCalendar {
   /// Retains heap/slot capacity across calls so repeated runs don't churn.
   void reset(std::size_t cores, Cycle base = 0) {
     if (slots_.empty()) slots_.resize(kSlots);
-    for (std::uint64_t w : l1_) {
-      (void)w;
-    }
     // Only touched slots can be dirty; clear via the bitmap instead of
     // walking all kSlots buckets.
     for (std::size_t w = 0; w < kWords; ++w) {

@@ -1,6 +1,5 @@
 #include "tile/shard.hpp"
 
-#include <ctime>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -8,19 +7,6 @@
 namespace fgnvm::tile {
 
 namespace {
-
-/// CPU time consumed by the calling thread, in seconds (0.0 where the
-/// platform has no per-thread CPU clock). Host telemetry only.
-double thread_cpu_seconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-#endif
-  return 0.0;
-}
 
 /// Pop attempts on an empty ring before yielding the core. Small: on a
 /// single-core host the producer cannot make progress while we spin.
@@ -46,7 +32,6 @@ void Shard::add_channel(std::unique_ptr<sched::ControllerBase> ctrl,
 }
 
 void Shard::run() {
-  const double cpu0 = thread_cpu_seconds();
   // Batched ingress drain: one fseq release store acknowledges the whole
   // batch, so a saturated producer sees the consumer's cache line ping once
   // per kCmdBatch commands instead of once per command.
@@ -81,7 +66,6 @@ void Shard::run() {
       }
     }
   }
-  metrics_.cpu_seconds += thread_cpu_seconds() - cpu0;
 }
 
 std::size_t Shard::process_pending() {

@@ -80,7 +80,6 @@ struct alignas(64) ShardMetrics {
   std::uint64_t egress_stalls = 0;  ///< pushes that waited for ring space
   std::uint64_t ingress_peak = 0;   ///< high-water inbound occupancy
   std::uint64_t advance_calls = 0;  ///< event-chain advances executed
-  double cpu_seconds = 0.0;         ///< worker thread CPU time (run() only)
 };
 
 class alignas(64) Shard {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -252,6 +253,19 @@ TEST(Config, UnreadKeysAreTheOnesNoGetterAskedFor) {
   EXPECT_EQ(cfg.get_u64("sags", 1), 4u);
   EXPECT_EQ(cfg.get_double("tWP_ns", 150.0), 150.0);  // asked, but unset
   EXPECT_EQ(cfg.unread_keys(), (std::vector<std::string>{"sagz", "tWP_nss"}));
+}
+
+TEST(Config, NearestAskedKeyHintsWithinTwoEdits) {
+  const auto cfg = Config::from_string("sagz = 8\ntWP_nss = 1\nbogus = 1\n");
+  (void)cfg.get_u64("sags", 4);
+  (void)cfg.get_u64("cds", 4);
+  (void)cfg.get_double("tWP_ns", 150.0);
+  (void)cfg.get_double("tWR_ns", 15.0);
+  EXPECT_EQ(cfg.nearest_asked_key("sagz"), std::optional<std::string>("sags"));
+  EXPECT_EQ(cfg.nearest_asked_key("tWP_nss"),
+            std::optional<std::string>("tWP_ns"));
+  EXPECT_EQ(cfg.nearest_asked_key("bogus"), std::nullopt);
+  EXPECT_EQ(cfg.nearest_asked_key("tXYZ_ns"), std::nullopt);  // 3 edits
 }
 
 TEST(Table, AlignsAndRejectsBadArity) {

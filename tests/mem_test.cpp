@@ -2,8 +2,11 @@
 // round-trips, SAG/CD mapping, timing conversion, and the data bus.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "mem/bus.hpp"
@@ -226,6 +229,17 @@ TEST(Timing, FromConfigConvertsNs) {
   const TimingParams t = TimingParams::from_config(cfg);
   EXPECT_EQ(t.tRCD, 20u);  // 25ns at 1.25 ns/cycle
   EXPECT_EQ(t.tCAS, 76u);  // default 95ns reconverted at the new clock
+}
+
+// An unset timing key still counts as one the timing model reads, so a
+// misspelling of it gets a "did you mean" hint even when the config does
+// not set the real key.
+TEST(Timing, UnsetNsKeysAreHintCandidates) {
+  const auto cfg = Config::from_string("tWP_nss = 1\n");
+  (void)TimingParams::from_config(cfg);
+  EXPECT_EQ(cfg.unread_keys(), (std::vector<std::string>{"tWP_nss"}));
+  EXPECT_EQ(cfg.nearest_asked_key("tWP_nss"),
+            std::optional<std::string>("tWP_ns"));
 }
 
 TEST(Timing, DerivedLatencies) {

@@ -2,6 +2,9 @@
 // conservation, and contention behaviour.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/runner.hpp"
 #include "sys/presets.hpp"
 #include "trace/generator.hpp"
@@ -67,6 +70,35 @@ TEST(MultiCore, RejectsEmptyMix) {
   EXPECT_THROW(run_multiprogrammed(std::vector<trace::RecordSource*>{},
                                    sys::fgnvm_config(4, 4)),
                std::invalid_argument);
+}
+
+// Both full-system entries share one loop, so a run that overruns its
+// cycle budget names the run and its config in either loop mode.
+TEST(MultiCore, OverrunErrorsNameTheRun) {
+  const auto traces = mix({"milc", "mcf"}, 500);
+  const sys::SystemConfig cfg = sys::fgnvm_config(4, 4);
+  const auto message = [](const auto& run) {
+    try {
+      run();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const LoopMode mode : {LoopMode::kEventSkip, LoopMode::kCycleAccurate}) {
+    const std::string solo = message(
+        [&] { run_workload(traces[0], cfg, {}, /*max_mem_cycles=*/50, mode); });
+    EXPECT_NE(solo.find("exceeded max_mem_cycles"), std::string::npos) << solo;
+    EXPECT_NE(solo.find(traces[0].name), std::string::npos) << solo;
+    EXPECT_NE(solo.find(cfg.name), std::string::npos) << solo;
+    const std::string shared = message([&] {
+      run_multiprogrammed(traces, cfg, {}, /*max_mem_cycles=*/50, mode);
+    });
+    EXPECT_NE(shared.find("exceeded max_mem_cycles"), std::string::npos)
+        << shared;
+    EXPECT_NE(shared.find("2 cores"), std::string::npos) << shared;
+    EXPECT_NE(shared.find(cfg.name), std::string::npos) << shared;
+  }
 }
 
 TEST(MultiCore, FgnvmRetainsMoreThroughputThanBaseline) {
