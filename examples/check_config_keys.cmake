@@ -1,8 +1,9 @@
 # Checks that fgnvm_sim rejects config keys no component reads: a config
 # with a misspelled key appended must exit 2 and name every such key on
 # stderr, with a "did you mean" hint for a near miss, instead of running
-# with the defaults. Every shipped config must
-# still run.
+# with the defaults. A key only another kind of system reads (a hybrid key
+# without hybrid = true) exits 2 as unused, not unknown. Every shipped
+# config must still run.
 #
 #   cmake -DSIM=<fgnvm_sim> -DCONFIG=<base.cfg> -DCONFIG_DIR=<configs> \
 #         -DWORK_DIR=<dir> -P check_config_keys.cmake
@@ -39,6 +40,22 @@ foreach(pair "sagz=sags" "tWP_nss=tWP_ns")
     message(FATAL_ERROR "stderr lacks the hint \"${hint}\":\n${err}")
   endif()
 endforeach()
+
+file(WRITE "${WORK_DIR}/unused.cfg" "${base}\nhybrid_threshold = 3\n")
+execute_process(
+  COMMAND "${SIM}" --config "${WORK_DIR}/unused.cfg" --workload milc --ops 200
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "expected exit 2 for an unused key, got '${rc}':\n${err}")
+endif()
+string(FIND "${err}" "not used by this system: 'hybrid_threshold'" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "stderr does not call 'hybrid_threshold' unused:\n${err}")
+endif()
+string(FIND "${err}" "unknown" at)
+if(NOT at EQUAL -1)
+  message(FATAL_ERROR "stderr calls a hybrid key unknown:\n${err}")
+endif()
 
 file(GLOB configs "${CONFIG_DIR}/*.cfg")
 foreach(cfg ${configs})

@@ -8,8 +8,11 @@
 //   fgnvm_sim --config configs/baseline.cfg --trace mcf.trace --json out.json
 //   fgnvm_sim --config configs/dram_salp8.cfg --workload milc --memory-only
 //   fgnvm_sim --config configs/fgnvm_4x4.cfg --workload milc --obs out/milc
+#include <algorithm>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -116,18 +119,39 @@ int main(int argc, char** argv) {
     const auto* hybrid = std::get_if<sys::HybridSystemConfig>(&spec);
     const cpu::CpuParams cpu_params = cpu::CpuParams::from_config(raw);
     // Every component has read its keys now: anything left is a key no
-    // component knows (a misspelling would otherwise run the defaults).
+    // component knows (a misspelling would otherwise run the defaults), or
+    // a key only another kind of system reads.
     if (const std::vector<std::string> unread = raw.unread_keys();
         !unread.empty()) {
-      std::cerr << "error: " << opts->config_path
-                << ": unknown config key(s):";
-      for (const std::string& key : unread) {
-        std::cerr << " '" << key << "'";
-        if (const auto hint = raw.nearest_asked_key(key)) {
-          std::cerr << " (did you mean '" << *hint << "'?)";
+      Config other = raw;
+      if (!hybrid) {
+        try {
+          (void)sys::HybridConfig::from_config(other);
+        } catch (const std::exception&) {
+          // A bad hybrid value still marks its key as read.
         }
       }
-      std::cerr << "\n";
+      const std::vector<std::string> unknown = other.unread_keys();
+      std::vector<std::string> unused;
+      std::set_difference(unread.begin(), unread.end(), unknown.begin(),
+                          unknown.end(), std::back_inserter(unused));
+      if (!unknown.empty()) {
+        std::cerr << "error: " << opts->config_path
+                  << ": unknown config key(s):";
+        for (const std::string& key : unknown) {
+          std::cerr << " '" << key << "'";
+          if (const auto hint = other.nearest_asked_key(key)) {
+            std::cerr << " (did you mean '" << *hint << "'?)";
+          }
+        }
+        std::cerr << "\n";
+      }
+      if (!unused.empty()) {
+        std::cerr << "error: " << opts->config_path
+                  << ": config key(s) not used by this system:";
+        for (const std::string& key : unused) std::cerr << " '" << key << "'";
+        std::cerr << " (hybrid keys need hybrid = true)\n";
+      }
       return 2;
     }
 

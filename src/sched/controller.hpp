@@ -153,11 +153,13 @@ class ControllerBase {
 
   /// Lower bound on the first cycle > now at which this channel could hand
   /// a completion to the caller: now+1 with completions already pending,
-  /// else the earliest in-flight burst end, else (reads queued) the
-  /// channel's next event plus the minimum read service time; kNeverCycle
-  /// when no queued or in-flight read exists. Never overshoots the first
-  /// completion delivery, so it is a safe advance_to horizon for a caller
-  /// waiting only on completions.
+  /// else the cycle after the earliest in-flight burst end (the tick at the
+  /// end retires the read, the caller drains it the cycle after), else
+  /// (reads queued) the channel's next event plus the minimum read service
+  /// time plus one; kNeverCycle when no queued or in-flight read exists.
+  /// Never overshoots the first completion delivery, so it is a safe
+  /// advance_to horizon for a caller waiting only on completions: the
+  /// window ends on the delivery cycle itself.
   virtual Cycle completion_bound(Cycle now) const = 0;
 
   virtual bool idle() const = 0;

@@ -967,16 +967,18 @@ Cycle ControllerT<BankT>::advance_until_accept(Cycle due, OpType op,
 template <typename BankT>
 Cycle ControllerT<BankT>::completion_bound(Cycle now) const {
   if (!completed_.empty()) return now + 1;
-  Cycle bound =
-      inflight_reads_.empty() ? kNeverCycle : inflight_reads_.front().done;
+  // The tick at a burst's `done` retires the read; the caller drains it
+  // one cycle later.
+  Cycle bound = inflight_reads_.empty() ? kNeverCycle
+                                        : inflight_reads_.front().done + 1;
   if (!ridx_.empty()) {
     // A queued read's burst cannot start before the channel's next state
-    // change (its column issue is a state change), so its completion is at
-    // least next_event + tCAS + tBURST. No enqueues happen while the caller
+    // change (its column issue is a state change), so it retires at least
+    // next_event + tCAS + tBURST. No enqueues happen while the caller
     // waits, so store-to-load forwarding cannot create an earlier one.
     const Cycle ne = next_event_internal(now);
     if (ne != kNeverCycle) {
-      bound = std::min(bound, ne + timing_.tCAS + timing_.tBURST);
+      bound = std::min(bound, ne + timing_.tCAS + timing_.tBURST + 1);
     }
   }
   if (bound == kNeverCycle) return kNeverCycle;

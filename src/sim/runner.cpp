@@ -8,6 +8,7 @@
 
 #include "sched/controller.hpp"
 #include "sim/wake_calendar.hpp"
+#include "tile/topology.hpp"
 
 namespace fgnvm::sim {
 
@@ -271,9 +272,9 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
   //  * armed   — next action is a known submission cycle; indexed in the
   //    calendar, woken by collect_due(t);
   //  * blocked — backpressured at its next record; kept in a dense
-  //    `bp_list` with a probe due and re-probed every iteration (another
-  //    core's submission can pull the blocked channel's tick earlier, so
-  //    these dues are not stable enough to index);
+  //    `bp_list` whose dues (its channel's due) are refreshed every
+  //    iteration (another core's submission can pull the blocked channel's
+  //    tick earlier, so these dues are not stable enough to index);
   //  * stalled — wakes only on a read completion; tracked nowhere.
   // An iteration ticks the woken set ({completion-touched} ∪ {due <= t}) in
   // ascending core order (submission order feeds the memory side), touching
@@ -347,6 +348,7 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
     }
     std::sort(woken_list.begin(), woken_list.end());
     for (const std::uint32_t i : woken_list) {
+      stamp[i] = 0;
       // A completion invalidates the cached action (retirement unblocks, so
       // the core may reach its next record sooner); catch up to the present
       // first so the answered flag lands in a state identical to eager.
@@ -382,23 +384,20 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
         bp_remove(i);
       }
     }
-    // Refresh every backpressured core (woken or not): a tick this very
-    // cycle may already have freed space — probe can_accept so the wake
-    // lands on the first acceptable cycle. A core woken (stamped) in this
-    // iteration skips the probe: next_action classifies kBackpressured only
-    // after can_accept refused its record in this same memory state.
+    // Refresh every backpressured core: its record's channel may have been
+    // re-armed this cycle, so its wake is that channel's due. No can_accept
+    // probe is needed. A woken core was classified in this memory state. A
+    // core not woken has due > t, so its channel could not free capacity
+    // on its own before t + 1. A submission of the other op to that
+    // channel only delays the blocked one. A hybrid remap moves a record
+    // to another channel only in the engine step that injects a request
+    // there, which arms that channel at t + 1.
     Cycle bp_min = kNeverCycle;
     for (const std::uint32_t i : bp_list) {
-      if (!stamp[i] && mem.can_accept(acts[i].addr, acts[i].op)) {
-        due[i] = t + 1;
-      } else if (windows) {
-        due[i] = std::max(mem.accept_event(acts[i].addr), t + 1);
-      } else {
-        due[i] = t + 1;
-      }
+      due[i] = windows ? std::max(mem.accept_event(acts[i].addr), t + 1)
+                       : t + 1;
       bp_min = std::min(bp_min, due[i]);
     }
-    for (const std::uint32_t i : woken_list) stamp[i] = 0;
     const Cycle min_due = std::min(cal.min_due(), bp_min);
     Cycle next = t + 1;
     // Every due is > t, so min_due == t + 1 pins the next cycle: neither
@@ -440,6 +439,20 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
 RunResult run_memory_only_loop(trace::RecordSource& source,
                                const SystemSpec& spec, Cycle max_mem_cycles,
                                bool skip) {
+  const auto overrun = [&]() {
+    return std::runtime_error("run_memory_only: exceeded max_mem_cycles on " +
+                              source.name() + " / " + system_name(spec));
+  };
+  // A plain system without an observer replays the same schedule on the
+  // tile shards, each channel owned by one thread (DESIGN.md §9, §14).
+  const auto* plain = std::get_if<sys::SystemConfig>(&spec);
+  if (skip && plain != nullptr && !plain->obs.enabled) {
+    try {
+      return tile::run_head_of_line(source, *plain, max_mem_cycles).run;
+    } catch (const tile::CycleLimitExceeded&) {
+      throw overrun();
+    }
+  }
   const std::unique_ptr<sys::MemorySystem> mem_ptr = make_system(spec);
   sys::MemorySystem& mem = *mem_ptr;
   if (!skip) mem.set_eager_ticking(true);
@@ -452,10 +465,7 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
 
   Cycle t = 0;
   while (pending || !mem.idle()) {
-    if (t >= max_mem_cycles) {
-      throw std::runtime_error("run_memory_only: exceeded max_mem_cycles on " +
-                               source.name() + " / " + mem.config().name);
-    }
+    if (t >= max_mem_cycles) throw overrun();
     mem.drain_completed(done);
     while (pending && mem.can_accept(rec.addr, rec.op)) {
       mem.submit(rec.addr, rec.op, t);
@@ -471,12 +481,11 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
         // channel, whose can_accept answer can only change at that channel's
         // own tick cycles. advance_until_accept runs the target channel
         // along its event chain until capacity frees and brings every other
-        // channel up to the same resume cycle (on helper threads when the
-        // walk is long) — while blocked no channel receives submissions, so
-        // the chains are independent and the result matches the serial
-        // per-event schedule bit for bit. After trace exhaustion, stick to
-        // the event path so the final drain-out cycle (and hence
-        // mem_cycles) matches the per-event schedule.
+        // channel up to the same resume cycle — while blocked no channel
+        // receives submissions, so the chains are independent and the
+        // result matches the serial per-event schedule bit for bit. After
+        // trace exhaustion, stick to the event path so the final drain-out
+        // cycle (and hence mem_cycles) matches the per-event schedule.
         if (windows && pending) {
           const Cycle resume =
               mem.advance_until_accept(rec.addr, rec.op, max_mem_cycles);

@@ -85,8 +85,13 @@ RunResult run_workload(const trace::Trace& trace, const SystemSpec& spec,
                        LoopMode mode = LoopMode::kAuto);
 
 /// Memory-only closed-loop run: submits the trace as fast as backpressure
-/// allows. Measures achievable bandwidth and service latency without a core
-/// model. `instructions` and `ipc` are zero in the result.
+/// allows, in order against one clock (a record blocked on a full channel
+/// holds back every later one). Measures achievable bandwidth and service
+/// latency without a core model. `instructions` and `ipc` are zero in the
+/// result. The event-skip run of a plain system without an observer
+/// replays that schedule on the tile shards (tile::run_head_of_line); the
+/// hybrid and observed runs, and the cycle-accurate reference, run the
+/// MemorySystem loop.
 RunResult run_memory_only(trace::RecordSource& source, const SystemSpec& spec,
                           Cycle max_mem_cycles = 500'000'000,
                           LoopMode mode = LoopMode::kAuto);

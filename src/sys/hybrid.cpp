@@ -361,10 +361,11 @@ void HybridMemorySystem::engine_step(Cycle now) {
   }
   // Blocked on backpressure: retry when the target channel's state next
   // changes (its due cache / next_event never overshoots, so no mode can
-  // miss the cycle capacity frees). All lines in flight: track the next
-  // completion delivery cycle, so event-skipping loops iterate (and drain)
-  // at exactly the cycles the eager reference would — the read -> write
-  // phase flip happens the cycle after the last line lands in every mode.
+  // miss the cycle capacity frees). All lines in flight: wake at the next
+  // completion delivery cycle (completion_bound ends on it), so
+  // event-skipping loops iterate (and drain) at exactly the cycles the
+  // eager reference would — the read -> write phase flip happens the cycle
+  // after the last line lands in every mode.
   // Invariant: mig_wake_ is finite whenever a migration is in flight.
   if (mig_.submitted < lines_) {
     mig_wake_ = channel_wake(phase_channel(), now);

@@ -194,9 +194,9 @@ class HybridMemorySystem final : public MemorySystem {
 
   Migration mig_;
   /// Next cycle the engine needs a real tick to make progress (submitting
-  /// blocked requests, or the cycle a fresh trigger armed); kNeverCycle
-  /// while idle or waiting purely on read completions (completion_bound
-  /// already covers those). next_event/completion_bound/
+  /// blocked requests, the cycle a fresh trigger armed, or — every line in
+  /// flight — the next completion delivery cycle, which completion_bound
+  /// returns); kNeverCycle while idle. next_event/completion_bound/
   /// advance_until_accept clamp to it so no loop window skips past an
   /// injection cycle.
   Cycle mig_wake_ = kNeverCycle;

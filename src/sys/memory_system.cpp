@@ -1,35 +1,13 @@
 #include "sys/memory_system.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
-#include "common/sweep.hpp"
 #include "dram/dram_bank.hpp"
 #include "nvm/fgnvm_bank.hpp"
-#include "sys/channel_helpers.hpp"
 
 namespace fgnvm::sys {
-
-namespace {
-
-/// Cycles a blocked channel walks alone before the other channels fan out
-/// to helper threads: shorter walks do not repay the hand-off. Chosen by
-/// measurement (DESIGN.md §9).
-constexpr Cycle kOverlapGate = 8;
-
-/// Chain cycles the blocked channel walks between two watermark
-/// publications while helpers run.
-constexpr Cycle kMarkStride = 2;
-
-std::atomic<std::uint64_t> g_overlap_episodes{0};
-
-Cycle add_sat(Cycle a, Cycle b) {
-  return a > kNeverCycle - b ? kNeverCycle : a + b;
-}
-
-}  // namespace
 
 SystemConfig SystemConfig::from_config(const Config& cfg) {
   SystemConfig sc;
@@ -59,7 +37,7 @@ SystemConfig SystemConfig::from_config(const Config& cfg) {
     if (cfg.contains(removed)) {
       throw std::runtime_error(
           std::string("SystemConfig: config key '") + removed +
-          "' was removed; FGNVM_THREADS sizes the channel helpers");
+          "' was removed; FGNVM_THREADS sizes the memory-only shards");
     }
   }
   return sc;
@@ -78,9 +56,6 @@ std::unique_ptr<sched::ControllerBase> make_channel_controller(
 }
 
 MemorySystem::MemorySystem(const SystemConfig& cfg) : MemorySystem(cfg, {}) {}
-
-// Out of line: ChannelHelpers is incomplete in the header.
-MemorySystem::~MemorySystem() = default;
 
 MemorySystem::MemorySystem(const SystemConfig& cfg,
                            const std::vector<ExtraChannel>& extra)
@@ -260,55 +235,13 @@ Cycle MemorySystem::advance_until_accept(Addr addr, OpType op, Cycle limit) {
   return walk_until_accept(decoder_.decode(addr).channel, op, limit);
 }
 
-std::uint64_t MemorySystem::overlap_episodes() {
-  return g_overlap_episodes.load(std::memory_order_relaxed);
-}
-
-bool MemorySystem::start_helpers() {
-  if (helpers_checked_) return helpers_ != nullptr;
-  helpers_checked_ = true;
-  if (sim::SweepRunner::in_item()) return false;
-  const std::uint64_t n = std::min<std::uint64_t>(
-      channels_.size() - 1, sim::sweep_thread_count() - 1);
-  if (n == 0) return false;
-  helpers_ = std::make_unique<ChannelHelpers>(channels_, due_, maybe_completed_,
-                                              static_cast<unsigned>(n));
-  return true;
-}
-
 Cycle MemorySystem::walk_until_accept(std::uint64_t ch, OpType op,
                                       Cycle limit) {
   // The returned resume cycle never overshoots the channel's next
   // actionable cycle (freeing-tick + 1 at most undershoots, which a due
   // cache is allowed to do), so it re-arms due_ directly.
-  sched::ControllerBase& blocked = *channels_[ch];
   maybe_completed_[ch] = 1;
-  Cycle resume = blocked.advance_until_accept(
-      due_[ch], op, std::min(limit, add_sat(due_[ch], kOverlapGate)));
-  const bool still_blocked = resume < limit && !blocked.can_accept(op);
-  if (still_blocked && start_helpers()) {
-    // Every chain cycle below `resume` ticked without freeing capacity, so
-    // the final min(resume, limit) cannot lie below it: the other channels
-    // may run up to it while the walk goes on.
-    helpers_->begin(ch, resume);
-    try {
-      for (;;) {
-        resume = blocked.advance_until_accept(
-            resume, op, std::min(limit, add_sat(resume, kMarkStride)));
-        if (resume >= limit || blocked.can_accept(op)) break;
-        helpers_->publish(resume);
-      }
-    } catch (...) {
-      helpers_->abort();
-      throw;
-    }
-    helpers_->finish(std::min(resume, limit));
-    g_overlap_episodes.fetch_add(1, std::memory_order_relaxed);
-    due_[ch] = resume;
-    recompute_min_due();
-    return resume;
-  }
-  if (still_blocked) resume = blocked.advance_until_accept(resume, op, limit);
+  const Cycle resume = channels_[ch]->advance_until_accept(due_[ch], op, limit);
   due_[ch] = resume;
   advance_channels_to(std::min(resume, limit));
   return resume;

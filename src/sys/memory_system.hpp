@@ -10,8 +10,8 @@
 // from flagged channels — idle channels are never touched. On top of the
 // lazy clocks, advance_channels_to() runs due channels, one after another,
 // to a caller-supplied horizon, and advance_until_accept() walks a blocked
-// channel to its capacity-freeing tick while helper threads bring the other
-// channels along (ChannelHelpers).
+// channel to its capacity-freeing tick and then brings the other channels
+// to the same cycle.
 //
 // The driver-facing methods are virtual so HybridMemorySystem (DESIGN.md
 // §13) can interpose routing and its migration engine behind the same API;
@@ -34,8 +34,6 @@
 
 namespace fgnvm::sys {
 
-class ChannelHelpers;
-
 /// Which bank model backs the system.
 enum class BankKind : std::uint8_t {
   kFgNvm,  ///< PCM bank with 2-D subdivision (the paper's subject)
@@ -57,8 +55,8 @@ struct SystemConfig {
   /// Builds from a flat Config; see individual from_config methods for keys.
   /// Access-mode keys: partial_activation, multi_activation,
   /// background_writes (booleans, default on). Throws on the removed
-  /// run_threads / tile_backend keys (FGNVM_THREADS sizes the channel
-  /// helpers instead).
+  /// run_threads / tile_backend keys (FGNVM_THREADS sizes the memory-only
+  /// shards instead).
   static SystemConfig from_config(const Config& cfg);
 };
 
@@ -75,7 +73,7 @@ std::unique_ptr<sched::ControllerBase> make_channel_controller(
 class MemorySystem {
  public:
   explicit MemorySystem(const SystemConfig& cfg);
-  virtual ~MemorySystem();
+  virtual ~MemorySystem() = default;
   MemorySystem(const MemorySystem&) = delete;
   MemorySystem& operator=(const MemorySystem&) = delete;
 
@@ -137,16 +135,10 @@ class MemorySystem {
   /// chain reaches `limit`. Returns the cycle at which the driver should
   /// resume (submit/drain): the cycle after the capacity-freeing tick, or
   /// the first chain cycle >= limit (kNeverCycle if the chain dies). Every
-  /// other channel is left at min(resume, limit), exactly as
-  /// advance_channels_to(min(resume, limit)) would leave it. A walk still
-  /// blocked after a short gate hands the other channels to helper
-  /// threads (DESIGN.md §9); the result is the same either way. Requires
+  /// other channel is then advanced to min(resume, limit), exactly as
+  /// advance_channels_to(min(resume, limit)) would leave it. Requires
   /// lazy_scheduling().
   virtual Cycle advance_until_accept(Addr addr, OpType op, Cycle limit);
-
-  /// Process-wide count of advance_until_accept calls that fanned out to
-  /// helper threads (tests check that the overlapped path ran).
-  static std::uint64_t overlap_episodes();
 
   virtual bool idle() const;
 
@@ -241,15 +233,6 @@ class MemorySystem {
   Cycle min_due_ = 0;
   bool eager_ = false;
   bool lazy_ = true;
-
- private:
-  /// Starts the helpers on the first walk that outlasts the gate: at most
-  /// min(channels - 1, sweep_thread_count() - 1), none inside a
-  /// SweepRunner item. False when there are none.
-  bool start_helpers();
-
-  std::unique_ptr<ChannelHelpers> helpers_;
-  bool helpers_checked_ = false;
 };
 
 }  // namespace fgnvm::sys

@@ -1,5 +1,6 @@
 #include "tile/shard.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -15,6 +16,14 @@ constexpr int kSpinLimit = 64;
 /// Commands drained per try_pop_n batch in the worker loop.
 constexpr std::size_t kCmdBatch = 64;
 
+/// Chain cycles a threaded head-of-line walk advances between two
+/// publications of its position.
+constexpr Cycle kMarkStride = 2;
+
+Cycle add_sat(Cycle a, Cycle b) {
+  return a > kNeverCycle - b ? kNeverCycle : a + b;
+}
+
 }  // namespace
 
 Shard::Shard(std::uint32_t index, std::size_t ring_capacity, Cycle max_cycles)
@@ -28,6 +37,7 @@ void Shard::add_channel(std::unique_ptr<sched::ControllerBase> ctrl,
   Channel c;
   c.ctrl = std::move(ctrl);
   c.global_ch = global_ch;
+  c.departed = std::make_unique<Departures>();
   chan_.push_back(std::move(c));
 }
 
@@ -37,12 +47,23 @@ void Shard::run() {
   // per kCmdBatch commands instead of once per command.
   TileCmd batch[kCmdBatch];
   int spins = 0;
+  SpinBudget idle;
   bool stopping = false;
-  while (!stopping) {
-    if (stop_.load(std::memory_order_relaxed)) break;
+  while (!stopping && !stop_.load(std::memory_order_relaxed)) {
+    if (!try_claim()) {
+      // The coordinator is running this shard's commands (head-of-line
+      // mode, see Topology::await_reply).
+      std::this_thread::yield();
+      continue;
+    }
+    // The horizon is loaded before the ring is checked: a command the
+    // coordinator pushed before the horizon rose past its not_before is
+    // then visible below, so no channel runs ahead of a pending submit.
+    const Cycle horizon =
+        horizon_ != nullptr ? horizon_->load(std::memory_order_acquire) : 0;
     const std::size_t got = ingress_.try_pop_n(batch, kCmdBatch);
+    const bool worked = got > 0 || horizon > reached_;
     if (got > 0) {
-      spins = 0;
       const std::uint64_t depth =
           static_cast<std::uint64_t>(ingress_.size()) + got;
       if (depth > metrics_.ingress_peak) metrics_.ingress_peak = depth;
@@ -56,13 +77,25 @@ void Shard::run() {
         }
         handle(batch[i]);
       }
-    } else {
-      ++metrics_.ingress_empty;
-      ++metrics_.idle_spins;
-      cpu_relax();
-      if (++spins >= kSpinLimit) {
-        spins = 0;
-        std::this_thread::yield();
+    } else if (horizon > reached_) {
+      advance_to_horizon(horizon);
+    }
+    release_claim();
+    if (worked) {
+      spins = 0;
+      idle.reset();
+      continue;
+    }
+    ++metrics_.ingress_empty;
+    cpu_relax();
+    if (++spins >= kSpinLimit) {
+      spins = 0;
+      if (idle.yield_then_expired()) {
+        // The coordinator rings after every push; a parked head-of-line
+        // worker skips the horizon and catches up at its next command.
+        ++metrics_.parks;
+        doorbell_.park([&] { return !ingress_.empty() || stop_requested(); });
+        idle.reset();
       }
     }
   }
@@ -123,15 +156,20 @@ void Shard::handle_submit(const TileCmd& cmd) {
   // (kNeverCycle) here means a wedged controller, and reaching max_cycles_
   // means the run overflowed.
   if (!c.ctrl->can_accept(cmd.op)) {
-    const Cycle resume = c.ctrl->advance_until_accept(c.due, cmd.op,
-                                                      max_cycles_);
-    ++metrics_.advance_calls;
+    const Cycle resume = walk_until_accept(c, cmd.op);
     if (resume == kNeverCycle || resume >= max_cycles_) {
-      throw std::runtime_error(
+      throw CycleLimitExceeded(
           "tile::Shard: channel never accepted a request (max_cycles hit)");
     }
     c.due = resume;
     if (resume > t) t = resume;
+  }
+  if (hol_ && !cmd.ask && t != cmd.not_before) {
+    // The coordinator's credits promised acceptance at not_before; a later
+    // cycle would silently shift every later submission.
+    throw std::logic_error(
+        "tile::Shard: a head-of-line submit without an ask was not accepted "
+        "at its cycle");
   }
 
   mem::MemRequest req;
@@ -149,10 +187,64 @@ void Shard::handle_submit(const TileCmd& cmd) {
   ++metrics_.ops;
   if (cmd.op == OpType::kRead) {
     ++metrics_.reads;
+    ++c.entered_reads;
   } else {
     ++metrics_.writes;
+    ++c.entered_writes;
   }
   publish_completions(c);
+  if (!hol_) return;
+  publish_departures(c);
+  if (cmd.ask) {
+    TileEvt evt;
+    evt.kind = TileEvt::Kind::kAccepted;
+    evt.channel = c.global_ch;
+    evt.id = cmd.id;
+    evt.submitted = t;
+    push_evt(evt);
+    if (reply_bell_ != nullptr) reply_bell_->ring();
+    ++metrics_.asks;
+  }
+}
+
+Cycle Shard::walk_until_accept(Channel& c, OpType op) {
+  ++metrics_.advance_calls;
+  if (horizon_ == nullptr) {
+    return c.ctrl->advance_until_accept(c.due, op, max_cycles_);
+  }
+  // Every chain cycle below the walk's position ticked without freeing
+  // capacity, so the coordinator's next submission cycle is at least that
+  // position: the other shards may run their channels up to it while the
+  // walk goes on. A walk split at intermediate horizons ticks exactly the
+  // cycles of one walk.
+  Cycle pos = c.due;
+  for (;;) {
+    pos = c.ctrl->advance_until_accept(
+        pos, op, std::min(max_cycles_, add_sat(pos, kMarkStride)));
+    if (pos >= max_cycles_ || c.ctrl->can_accept(op)) return pos;
+    horizon_->store(pos, std::memory_order_release);
+    ++metrics_.marks;
+  }
+}
+
+void Shard::advance_to_horizon(Cycle horizon) {
+  for (Channel& c : chan_) {
+    if (c.due < horizon) {
+      c.due = c.ctrl->advance_to(c.due, horizon);
+      ++metrics_.advance_calls;
+      publish_completions(c);
+      publish_departures(c);
+    }
+  }
+  reached_ = horizon;
+  ++metrics_.horizon_advances;
+}
+
+void Shard::publish_departures(const Channel& c) {
+  c.departed->reads.store(c.entered_reads - c.ctrl->pending_reads(),
+                          std::memory_order_relaxed);
+  c.departed->writes.store(c.entered_writes - c.ctrl->write_queue().size(),
+                           std::memory_order_relaxed);
 }
 
 void Shard::flush_channels() {
@@ -162,7 +254,7 @@ void Shard::flush_channels() {
     // contribution to mem_cycles. The tail is bounded by the queue caps.
     while (c.due != kNeverCycle) {
       if (c.due >= max_cycles_) {
-        throw std::runtime_error(
+        throw CycleLimitExceeded(
             "tile::Shard: channel did not drain before max_cycles");
       }
       c.end = c.due + 1;
@@ -177,6 +269,7 @@ void Shard::flush_channels() {
 void Shard::publish_completions(Channel& c) {
   done_.clear();
   c.ctrl->drain_completed(done_);  // appends (controller-level contract)
+  if (hol_) return;  // head-of-line replays keep no completion stream
   for (const mem::MemRequest& r : done_) {
     TileEvt evt;
     evt.kind = TileEvt::Kind::kCompletion;

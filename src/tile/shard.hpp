@@ -20,20 +20,36 @@
 // thread interleaving — the root of the any-shard-count byte-identity
 // guarantee. For a single channel this reduces exactly to the
 // run_memory_only submission schedule (anchored by a tier-1 test).
+//
+// Head-of-line mode (Topology::replay_head_of_line, DESIGN.md §14) keeps
+// that per-channel walk but lets the coordinator carry one global
+// submission cycle in not_before: the shard publishes each channel's queue
+// departures (the coordinator's credits), answers a command that asks with
+// its accepted cycle, advances idle channels to a shared horizon, and
+// drains completions without publishing them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/types.hpp"
 #include "mem/request.hpp"
 #include "sched/controller.hpp"
+#include "tile/doorbell.hpp"
 #include "tile/spsc_ring.hpp"
 
 namespace fgnvm::tile {
+
+/// Thrown by a shard whose channel would run past TopologyConfig::max_cycles
+/// (a blocked walk or the final drain); the deadlock guard of the runners.
+class CycleLimitExceeded : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Inbound command. Addresses arrive pre-decoded: the coordinator owns the
 /// address decoder and the channel routing decision.
@@ -45,6 +61,10 @@ struct TileCmd {
   };
   Kind kind = Kind::kSubmit;
   OpType op = OpType::kRead;
+  /// Head-of-line mode: reply with a kAccepted event carrying the cycle the
+  /// request entered its channel. Without it the coordinator's credits
+  /// guarantee that cycle is not_before.
+  bool ask = false;
   std::uint32_t local_ch = 0;  ///< channel index within the shard
   RequestId id = 0;
   std::uint64_t tag = 0;       ///< opaque client token (MemRequest::cpu_tag)
@@ -53,15 +73,25 @@ struct TileCmd {
 };
 
 /// Outbound event: a read completion (writes are posted — the coordinator
-/// acks them at submission) or a flush acknowledgment.
+/// acks them at submission), a flush acknowledgment, or the reply to a
+/// command that asked (head-of-line mode).
 struct TileEvt {
-  enum class Kind : std::uint8_t { kCompletion, kFlushDone };
+  enum class Kind : std::uint8_t { kCompletion, kFlushDone, kAccepted };
   Kind kind = Kind::kCompletion;
   std::uint32_t channel = 0;  ///< global channel id
   RequestId id = 0;
   std::uint64_t tag = 0;
   Cycle submitted = 0;  ///< cycle the request entered the channel
   Cycle completed = 0;  ///< cycle the read data returned
+};
+
+/// Per-channel queue departures of one op type, published by the shard in
+/// head-of-line mode: requests entered minus requests still queued. It only
+/// rises, so the coordinator's sent-minus-departed is an upper bound on the
+/// queue's occupancy (DESIGN.md §14).
+struct alignas(64) Departures {
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> writes{0};
 };
 
 /// Inline per-shard metrics, published with the shard (read by the
@@ -75,11 +105,15 @@ struct alignas(64) ShardMetrics {
   std::uint64_t writes = 0;
   std::uint64_t completions = 0;    ///< read completions published
   std::uint64_t flushes = 0;
-  std::uint64_t ingress_empty = 0;  ///< pop attempts that found no work
-  std::uint64_t idle_spins = 0;     ///< cpu_relax pauses in the idle poll
+  std::uint64_t ingress_empty = 0;  ///< idle polls (one cpu_relax each)
+  std::uint64_t parks = 0;          ///< sleeps after a long idle stretch
   std::uint64_t egress_stalls = 0;  ///< pushes that waited for ring space
   std::uint64_t ingress_peak = 0;   ///< high-water inbound occupancy
   std::uint64_t advance_calls = 0;  ///< event-chain advances executed
+  // Head-of-line mode only.
+  std::uint64_t asks = 0;              ///< kAccepted replies sent
+  std::uint64_t horizon_advances = 0;  ///< idle advances to the horizon
+  std::uint64_t marks = 0;             ///< walk positions published
 };
 
 class alignas(64) Shard {
@@ -88,13 +122,18 @@ class alignas(64) Shard {
   /// event-chain cycle (kNeverCycle = idle) and never overshoots it;
   /// `clock` is the latest submission cycle (per-channel time is monotone);
   /// `end` is the cycle after the channel's last executed tick, maintained
-  /// by flush (the channel's contribution to mem_cycles).
+  /// by flush (the channel's contribution to mem_cycles). `entered_*`
+  /// count the requests enqueued, `departed` publishes how many of them
+  /// left the queues (head-of-line mode).
   struct Channel {
     std::unique_ptr<sched::ControllerBase> ctrl;
     std::uint32_t global_ch = 0;
     Cycle clock = 0;
     Cycle due = kNeverCycle;
     Cycle end = 0;
+    std::uint64_t entered_reads = 0;
+    std::uint64_t entered_writes = 0;
+    std::unique_ptr<Departures> departed;
   };
 
   Shard(std::uint32_t index, std::size_t ring_capacity, Cycle max_cycles);
@@ -105,13 +144,49 @@ class alignas(64) Shard {
   void add_channel(std::unique_ptr<sched::ControllerBase> ctrl,
                    std::uint32_t global_ch);
 
+  /// Construction-time wiring: switches the shard to head-of-line mode.
+  /// `horizon` is the shared submission horizon of a threaded replay (null
+  /// inline): the idle worker advances its channels to it, and a blocked
+  /// walk publishes its chain position into it. `replies` is rung after
+  /// every kAccepted reply (null inline).
+  void follow_head_of_line(std::atomic<Cycle>* horizon, Doorbell* replies) {
+    hol_ = true;
+    horizon_ = horizon;
+    reply_bell_ = replies;
+  }
+
+  /// Rung by the coordinator after every push to ingress() (and by
+  /// request_stop), so a worker parked on an empty ring wakes.
+  Doorbell& doorbell() { return doorbell_; }
+
+  /// The worker holds this claim while it processes a batch or advances
+  /// its channels, and drops it in between. A head-of-line coordinator
+  /// whose reply is late claims the shard and runs process_pending()
+  /// itself, so a worker that is parked or not scheduled never holds up a
+  /// reply. A worker that throws keeps its claim.
+  bool try_claim() {
+    return !claimed_.load(std::memory_order_relaxed) &&
+           !claimed_.exchange(true, std::memory_order_acquire);
+  }
+  void release_claim() { claimed_.store(false, std::memory_order_release); }
+
+  /// Queue departures of `op` on local channel `local` (head-of-line mode);
+  /// any thread may read them while the shard runs.
+  std::uint64_t departed(std::uint32_t local, OpType op) const {
+    const Departures& d = *chan_[local].departed;
+    return (op == OpType::kRead ? d.reads : d.writes)
+        .load(std::memory_order_relaxed);
+  }
+
   std::uint32_t index() const { return index_; }
   SpscRing<TileCmd>& ingress() { return ingress_; }
   SpscRing<TileEvt>& egress() { return egress_; }
 
   /// Worker-thread body: consumes commands until kStop. Spins briefly on an
   /// empty ring, then yields (single-core hosts must let the coordinator
-  /// run).
+  /// run), and parks on doorbell() once the ring stayed empty for
+  /// kSpinBeforePark. In head-of-line mode an empty ring first advances
+  /// the channels to the horizon.
   void run();
 
   /// Inline alternative (serial mode / the reference schedule): processes
@@ -135,7 +210,10 @@ class alignas(64) Shard {
   /// a full egress ring into a drop, so the worker always terminates even
   /// with no consumer left to drain egress. Simulated state is garbage
   /// afterwards — only safe when the topology is being torn down.
-  void request_stop() { stop_.store(true, std::memory_order_release); }
+  void request_stop() {
+    stop_.store(true, std::memory_order_release);
+    doorbell_.ring();
+  }
   bool stop_requested() const {
     return stop_.load(std::memory_order_acquire);
   }
@@ -143,7 +221,15 @@ class alignas(64) Shard {
  private:
   void handle(const TileCmd& cmd);
   void handle_submit(const TileCmd& cmd);
+  /// Walks `c` until it accepts `op`; returns the resume cycle (see
+  /// ControllerBase::advance_until_accept). A threaded head-of-line walk
+  /// publishes its chain position to the horizon as it goes.
+  Cycle walk_until_accept(Channel& c, OpType op);
+  /// Head-of-line mode: runs every channel's chain up to `horizon`.
+  void advance_to_horizon(Cycle horizon);
+  void publish_departures(const Channel& c);
   void flush_channels();
+  /// Drains `c`'s completions; publishes them outside head-of-line mode.
   void publish_completions(Channel& c);
   void push_evt(const TileEvt& evt);
 
@@ -156,6 +242,12 @@ class alignas(64) Shard {
   std::vector<mem::MemRequest> done_;  // drain scratch, reused
   std::function<void()> drain_hook_;   // serial-mode egress overflow valve
   std::atomic<bool> stop_{false};      // emergency teardown (see request_stop)
+  std::atomic<bool> claimed_{false};   // see try_claim
+  Doorbell doorbell_;                  // wakes a parked worker
+  bool hol_ = false;                   // head-of-line mode
+  std::atomic<Cycle>* horizon_ = nullptr;  // threaded head-of-line only
+  Doorbell* reply_bell_ = nullptr;         // threaded head-of-line only
+  Cycle reached_ = 0;                  // horizon the channels last ran to
 };
 
 }  // namespace fgnvm::tile

@@ -1,11 +1,21 @@
 #include "tile/topology.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "common/sweep.hpp"
 
 namespace fgnvm::tile {
+
+namespace {
+
+/// The shortest wait before the coordinator runs a late worker's commands.
+constexpr std::chrono::microseconds kMinHelpAfter{2};
+
+}  // namespace
+
 
 Topology::Topology(const sys::SystemConfig& cfg, const TopologyConfig& tcfg)
     : cfg_(cfg),
@@ -85,6 +95,7 @@ void Topology::worker_body(std::size_t i) {
   } catch (...) {
     errors_[i] = std::current_exception();
     failed_[i].store(true, std::memory_order_release);
+    replies_.ring();
   }
   // Keep the rings flowing after a failure so the coordinator's blocking
   // loops never wedge: discard submits, ack flushes, exit on stop (the
@@ -112,6 +123,7 @@ void Topology::worker_body(std::size_t i) {
 
 void Topology::push_cmd(std::size_t shard, const TileCmd& cmd) {
   while (!shards_[shard]->ingress().try_push(cmd)) make_progress();
+  shards_[shard]->doorbell().ring();
 }
 
 void Topology::drain_egress() {
@@ -120,6 +132,9 @@ void Topology::drain_egress() {
     while (shard->egress().try_pop(evt)) {
       if (evt.kind == TileEvt::Kind::kFlushDone) {
         ++flush_acks_;
+      } else if (evt.kind == TileEvt::Kind::kAccepted) {
+        replied_ = true;
+        accepted_at_ = evt.submitted;
       } else {
         ready_.push_back(Completion{evt.channel, evt.id, evt.tag,
                                     evt.submitted, evt.completed});
@@ -147,6 +162,63 @@ void Topology::rethrow_worker_error() {
   }
 }
 
+void Topology::await_reply(std::size_t shard) {
+  if (!tcfg_.worker_threads) {
+    while (!replied_) make_progress();
+    return;
+  }
+  const auto ready = [&] {
+    if (!shards_[shard]->egress().empty()) return true;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (failed_[i].load(std::memory_order_acquire)) return true;
+    }
+    return false;
+  };
+  SpinBudget spin(help_after_);
+  bool helped = false;
+  for (;;) {
+    drain_egress();
+    if (replied_) break;
+    rethrow_worker_error();
+    if (!spin.yield_then_expired()) continue;
+    spin.reset();
+    if (run_for_late_worker(shard)) {
+      helped = true;
+    } else {
+      replies_.park(ready);
+    }
+  }
+  // Workers that answer late keep answering late while the host is busy:
+  // halve the wait before helping after each late reply, and double it
+  // again (up to kSpinBeforePark) after each prompt one.
+  help_after_ = helped ? std::max(help_after_ / 2, kMinHelpAfter)
+                       : std::min(help_after_ * 2, kSpinBeforePark);
+}
+
+bool Topology::run_for_late_worker(std::size_t shard) {
+  Shard& s = *shards_[shard];
+  if (s.ingress().empty() || !s.try_claim()) return false;
+  s.process_pending();
+  s.release_claim();
+  return true;
+}
+
+void Topology::push_replay_cmd(std::size_t shard, const TileCmd& cmd) {
+  if (!tcfg_.worker_threads) {
+    push_cmd(shard, cmd);
+    return;
+  }
+  SpinBudget spin(help_after_);
+  while (!shards_[shard]->ingress().try_push(cmd)) {
+    rethrow_worker_error();
+    if (spin.yield_then_expired()) {
+      run_for_late_worker(shard);
+      spin.reset();
+    }
+  }
+  shards_[shard]->doorbell().ring();
+}
+
 bool Topology::try_submit(Addr addr, OpType op, std::uint64_t tag,
                           Cycle not_before, RequestId* id_out) {
   if (!started_ || finished_) {
@@ -163,6 +235,7 @@ bool Topology::try_submit(Addr addr, OpType op, std::uint64_t tag,
   cmd.not_before = not_before;
   cmd.addr = d;
   if (!shards_[r.shard]->ingress().try_push(cmd)) return false;
+  shards_[r.shard]->doorbell().ring();
   ++next_id_;
   if (op == OpType::kRead) {
     ++reads_;
@@ -220,6 +293,7 @@ std::size_t Topology::try_submit_batch(SubmitItem* items, std::size_t n) {
     }
     const std::size_t pushed =
         shards_[s]->ingress().try_push_n(cmds.data(), cmds.size());
+    if (pushed > 0) shards_[s]->doorbell().ring();
     next_id_ += pushed;
     for (std::size_t k = 0; k < pushed; ++k) {
       SubmitItem& it = items[stage_idx_[s][k]];
@@ -317,6 +391,88 @@ std::vector<ShardMetrics> Topology::shard_metrics() const {
   std::vector<ShardMetrics> out;
   out.reserve(shards_.size());
   for (const auto& shard : shards_) out.push_back(shard->metrics());
+  return out;
+}
+
+sim::RunResult Topology::replay_head_of_line(trace::RecordSource& source) {
+  for (auto& shard : shards_) {
+    if (tcfg_.worker_threads) {
+      shard->follow_head_of_line(&horizon_.cycle, &replies_);
+    } else {
+      shard->follow_head_of_line(nullptr, nullptr);
+    }
+  }
+  start();
+  // Credits (DESIGN.md §14): per channel and op, the requests sent minus
+  // the departures the shard last published bound the queue's occupancy
+  // from above — a queue only drains between two submissions — so while
+  // that bound is below the cap the record is accepted at `now` and needs
+  // no reply.
+  struct Credit {
+    std::uint64_t sent[2] = {0, 0};
+    std::uint64_t departed[2] = {0, 0};
+  };
+  std::vector<Credit> credits(channels());
+  const std::uint64_t caps[2] = {cfg_.controller.read_queue_cap,
+                                 cfg_.controller.write_queue_cap};
+  source.reset();
+  trace::TraceRecord rec;
+  Cycle now = 0;  // the submission cycle of the previous record
+  while (source.next(rec)) {
+    const mem::DecodedAddr d = decoder_.decode(rec.addr);
+    const Route r = route_[d.channel];
+    const int k = rec.op == OpType::kRead ? 0 : 1;
+    Credit& credit = credits[d.channel];
+    bool ask = credit.sent[k] - credit.departed[k] >= caps[k];
+    if (ask) {
+      credit.departed[k] = shards_[r.shard]->departed(r.local, rec.op);
+      ask = credit.sent[k] - credit.departed[k] >= caps[k];
+    }
+    TileCmd cmd;
+    cmd.kind = TileCmd::Kind::kSubmit;
+    cmd.op = rec.op;
+    cmd.ask = ask;
+    cmd.local_ch = r.local;
+    cmd.id = next_id_++;
+    cmd.not_before = now;
+    cmd.addr = d;
+    push_replay_cmd(r.shard, cmd);
+    ++credit.sent[k];
+    ++(rec.op == OpType::kRead ? reads_ : writes_);
+    if (ask) {
+      await_reply(r.shard);
+      replied_ = false;
+      now = accepted_at_;
+      // Released after every command with an earlier not_before was
+      // pushed: a shard that reads this horizon also sees those commands.
+      horizon_.cycle.store(now, std::memory_order_release);
+    }
+  }
+  return finish(source.name());
+}
+
+HeadOfLineRun run_head_of_line(trace::RecordSource& source,
+                               const sys::SystemConfig& cfg,
+                               Cycle max_cycles) {
+  const std::uint64_t channels = cfg.geometry.channels;
+  TopologyConfig tcfg;
+  // A sweep item leaves the cores to the sweep.
+  tcfg.shards = sim::SweepRunner::in_item()
+                    ? 1
+                    : std::min<std::uint64_t>(channels,
+                                              sim::sweep_thread_count());
+  tcfg.worker_threads = tcfg.shards > 1;
+  // The coordinator rarely runs more than a few dozen commands ahead of a
+  // shard before an ask stops it, and a full ring only makes it wait for
+  // the shard it would wait for anyway; small rings keep the replay's
+  // footprint near the serial loop's.
+  tcfg.ring_capacity = 64;
+  tcfg.max_cycles = max_cycles;
+  Topology topo(cfg, tcfg);
+  HeadOfLineRun out;
+  out.run = topo.replay_head_of_line(source);
+  out.shards = topo.shard_metrics();
+  out.threaded = topo.threaded();
   return out;
 }
 

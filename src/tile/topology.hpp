@@ -14,6 +14,9 @@
 //  * worker_threads=false — the serial reference: the coordinator runs
 //    Shard::process_pending inline; command order (hence everything) is
 //    identical, no threads exist.
+//
+// replay_head_of_line() drives the same shards with one global submission
+// cycle instead: the event-skip engine of sim::run_memory_only.
 #pragma once
 
 #include <atomic>
@@ -30,6 +33,7 @@
 #include "sim/runner.hpp"
 #include "sys/memory_system.hpp"
 #include "tile/shard.hpp"
+#include "trace/stream.hpp"
 #include "trace/trace.hpp"
 
 namespace fgnvm::tile {
@@ -145,6 +149,13 @@ class Topology {
   /// (serial mode, or after finish()).
   std::vector<ShardMetrics> shard_metrics() const;
 
+  /// Replays `source` in head-of-line order (DESIGN.md §14), the schedule of
+  /// sim::run_memory_only: record i enters its channel at the first cycle
+  /// >= record i-1's at which that channel accepts it. Starts, runs and
+  /// finishes the topology (call it instead of start()). A channel that
+  /// would pass max_cycles throws CycleLimitExceeded.
+  sim::RunResult replay_head_of_line(trace::RecordSource& source);
+
  private:
   struct Route {
     std::uint32_t shard = 0;
@@ -158,6 +169,14 @@ class Topology {
   /// yields. The wait step of every blocking loop.
   void make_progress();
   void rethrow_worker_error();
+  /// Head-of-line waits on one shard: for its kAccepted reply, and for
+  /// space in its ring. Both spin first. A worker that has not delivered
+  /// by then is parked or not scheduled, so the coordinator claims the
+  /// shard and runs its commands itself (run_for_late_worker); failing
+  /// that, await_reply parks on replies_.
+  void await_reply(std::size_t shard);
+  void push_replay_cmd(std::size_t shard, const TileCmd& cmd);
+  bool run_for_late_worker(std::size_t shard);
   void worker_body(std::size_t i);
 
   sys::SystemConfig cfg_;
@@ -176,6 +195,17 @@ class Topology {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::size_t flush_acks_ = 0;
+  bool replied_ = false;      // a kAccepted reply arrived ...
+  Cycle accepted_at_ = 0;     // ... carrying this cycle
+  // Head-of-line submission horizon, on its own line: the shards poll it.
+  struct alignas(64) Horizon {
+    std::atomic<Cycle> cycle{0};
+  };
+  Horizon horizon_;
+  Doorbell replies_;  // rung by shards after a reply or a failure
+  // How long a head-of-line wait spins before it runs a late worker's
+  // commands (adapted in await_reply).
+  std::chrono::microseconds help_after_ = kSpinBeforePark;
   std::vector<Completion> ready_;  // drained, not yet handed to the client
   // try_submit_batch scratch (per-shard staging + original item indices),
   // reused across calls so the hot path stays allocation-free.
@@ -205,5 +235,19 @@ ShardedRunResult run_sharded(const trace::Trace& trace,
 /// First difference between two sharded runs ("" when byte-identical):
 /// sim::diff_results on the merged runs, then the completion streams.
 std::string diff_sharded(const ShardedRunResult& a, const ShardedRunResult& b);
+
+/// A head-of-line replay and the host telemetry of the shards that ran it.
+struct HeadOfLineRun {
+  sim::RunResult run;
+  std::vector<ShardMetrics> shards;
+  bool threaded = false;
+};
+
+/// The event-skip engine of sim::run_memory_only for a plain system
+/// without an observer: Topology::replay_head_of_line on
+/// min(channels, sweep_thread_count()) worker shards, or on one inline
+/// shard at one channel, at FGNVM_THREADS=1 or inside a SweepRunner item.
+HeadOfLineRun run_head_of_line(trace::RecordSource& source,
+                               const sys::SystemConfig& cfg, Cycle max_cycles);
 
 }  // namespace fgnvm::tile

@@ -84,7 +84,7 @@ void expect_removed_key(const std::string& text, const std::string& key) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'" + key + "' was removed"), std::string::npos)
         << what;
-    EXPECT_NE(what.find("FGNVM_THREADS sizes the channel helpers"),
+    EXPECT_NE(what.find("FGNVM_THREADS sizes the memory-only shards"),
               std::string::npos)
         << what;
   }
