@@ -43,27 +43,18 @@
 // Usage: perf_smoke [ops] [output.json]
 //   ops          memory ops per run (default 20000; FGNVM_BENCH_OPS works)
 //   output.json  output path (default BENCH_sim_throughput.json)
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "sim/runner.hpp"
 #include "common/sweep.hpp"
-#include "mem/geometry.hpp"
 #include "sys/presets.hpp"
-#include "tile/frame.hpp"
-#include "tile/front.hpp"
+#include "tile/loopback.hpp"
 #include "tile/topology.hpp"
 #include "trace/generator.hpp"
 #include "trace/spec_profiles.hpp"
@@ -330,148 +321,41 @@ int main(int argc, char** argv) {
   }
 
   // Serve-path throughput: the multi-channel workload streamed through the
-  // epoll front tier (DESIGN.md §15) by four loopback socketpair clients —
-  // requests partitioned by channel ownership, batch-decoded per recv(),
-  // batch-submitted into the shard rings, completions routed back over the
-  // sockets, and the ping-fence / flush / quit teardown all inside the
-  // timed span. Serial shards keep the figure stable on one-core CI
-  // runners (same rationale as the sharded figure). Frames/sec counts the
-  // R/W request frames the server decoded, admitted, and answered.
-  const unsigned serve_clients = 4;
-  const mem::AddressDecoder serve_dec(mc_cfg.geometry, mc_cfg.mapping);
-  std::vector<std::vector<std::uint8_t>> serve_streams(serve_clients);
-  for (std::size_t i = 0; i < tr.records.size(); ++i) {
-    const auto& rec = tr.records[i];
-    const unsigned owner = static_cast<unsigned>(
-        serve_dec.decode(rec.addr).channel % serve_clients);
-    tile::Request req;
-    req.kind = rec.op == OpType::kRead ? tile::ReqFrame::kRead
-                                       : tile::ReqFrame::kWrite;
-    req.addr = rec.addr;
-    req.tag = i;
-    tile::encode_request(req, serve_streams[owner]);
-  }
-  auto serve_once = [&]() -> bool {
-    tile::TopologyConfig scfg;
-    scfg.shards = 4;
-    scfg.worker_threads = false;
-    tile::Topology topo(mc_cfg, scfg);
-    topo.start();
-    tile::FrontTier::Config fcfg;
-    fcfg.exit_when_idle = true;
-    tile::FrontTier front(topo, fcfg);
-    std::vector<int> fds(serve_clients, -1);
-    for (unsigned c = 0; c < serve_clients; ++c) {
-      int sv[2];
-      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return false;
-      front.add_client(sv[0]);
-      fds[c] = sv[1];
+  // epoll front tier (DESIGN.md §15) by four tile::serve_loopback clients
+  // — requests partitioned by channel ownership and encoded, batch-decoded
+  // per recv(), batch-submitted into the shard rings, completions routed
+  // back over the sockets, and the ping-fence / flush / quit teardown all
+  // inside the timed span; the serial reference and loopback_problem's
+  // checks stay outside it. Serial shards keep the figure stable on
+  // one-core CI runners (same rationale as the sharded figure). Frames/sec
+  // counts the R/W request frames the server decoded, admitted, and
+  // answered.
+  tile::TopologyConfig serve_tcfg;
+  serve_tcfg.shards = 4;
+  serve_tcfg.worker_threads = false;
+  tile::LoopbackOptions serve_opts;
+  serve_opts.clients = 4;
+  serve_opts.send_min = serve_opts.send_max = 8192;
+  tile::TopologyConfig serve_ref_cfg;
+  serve_ref_cfg.shards = 1;
+  serve_ref_cfg.worker_threads = false;
+  const sim::RunResult serve_ref =
+      tile::run_sharded(tr, mc_cfg, serve_ref_cfg).run;
+  double serve_secs = 0.0;
+  for (int i = -1; i < runs; ++i) {  // run -1 is the warm-up
+    const auto tf = clock::now();
+    const tile::LoopbackRun served =
+        tile::serve_loopback(tr, mc_cfg, serve_tcfg, serve_opts);
+    if (i >= 0) {
+      serve_secs += std::chrono::duration<double>(clock::now() - tf).count();
     }
-    std::thread server([&front] { front.run(); });
-    std::atomic<unsigned> admitted{0};
-    std::atomic<bool> flushed{false};
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> threads;
-    for (unsigned c = 0; c < serve_clients; ++c) {
-      threads.emplace_back([&, c] {
-        tile::FrameReader reader;
-        std::vector<std::uint8_t> payload;
-        std::vector<std::uint8_t> pending = serve_streams[c];
-        std::size_t sent = 0;
-        bool sent_ping = false, sent_flush = false, sent_quit = false;
-        std::uint8_t rbuf[8192];
-        while (!failed.load(std::memory_order_relaxed)) {
-          if (sent == pending.size()) {
-            // Stream done: fence with a ping, let client 0 flush once all
-            // pongs landed, then quit — the same admission-barrier protocol
-            // the selftest uses (see examples/fgnvm_serve.cpp).
-            tile::Request r;
-            if (!sent_ping) {
-              r.kind = tile::ReqFrame::kPing;
-              tile::encode_request(r, pending);
-              sent_ping = true;
-            } else if (c == 0 && !sent_flush &&
-                       admitted.load(std::memory_order_acquire) ==
-                           serve_clients) {
-              r.kind = tile::ReqFrame::kFlush;
-              tile::encode_request(r, pending);
-              sent_flush = true;
-            } else if (!sent_quit &&
-                       flushed.load(std::memory_order_acquire)) {
-              r.kind = tile::ReqFrame::kQuit;
-              tile::encode_request(r, pending);
-              sent_quit = true;
-            }
-          }
-          pollfd pfd{fds[c], POLLIN, 0};
-          if (sent < pending.size()) pfd.events |= POLLOUT;
-          const int pr = ::poll(&pfd, 1, 20);
-          if (pr < 0) {
-            if (errno == EINTR) continue;
-            failed.store(true, std::memory_order_relaxed);
-            break;
-          }
-          if (pr == 0) continue;  // timeout: re-check flush/quit conditions
-          if ((pfd.revents & POLLOUT) && sent < pending.size()) {
-            const std::size_t chunk =
-                std::min(sizeof(rbuf), pending.size() - sent);
-            const ssize_t n =
-                ::send(fds[c], pending.data() + sent, chunk, MSG_DONTWAIT);
-            if (n > 0) {
-              sent += static_cast<std::size_t>(n);
-            } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR) {
-              failed.store(true, std::memory_order_relaxed);
-              break;
-            }
-          }
-          if (!(pfd.revents & (POLLIN | POLLHUP | POLLERR))) continue;
-          const ssize_t n = ::read(fds[c], rbuf, sizeof(rbuf));
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            failed.store(true, std::memory_order_relaxed);
-            break;
-          }
-          if (n == 0) break;  // server closed after the 'S' frame: done
-          reader.feed(rbuf, static_cast<std::size_t>(n));
-          while (reader.next(payload)) {
-            const auto resp =
-                tile::decode_response(payload.data(), payload.size());
-            if (!resp || resp->kind == tile::RespFrame::kError) {
-              failed.store(true, std::memory_order_relaxed);
-              break;
-            }
-            if (resp->kind == tile::RespFrame::kPong) {
-              admitted.fetch_add(1, std::memory_order_acq_rel);
-            } else if (resp->kind == tile::RespFrame::kFlushDone) {
-              flushed.store(true, std::memory_order_release);
-            }
-          }
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (int fd : fds) ::close(fd);
-    if (failed.load(std::memory_order_relaxed)) front.stop();
-    server.join();
-    const sim::RunResult served = topo.finish(tr.name);
-    return !failed.load(std::memory_order_relaxed) &&
-           served.reads + served.writes == tr.records.size();
-  };
-  if (!serve_once()) {  // warm-up doubles as the end-to-end sanity check
-    std::cerr << "perf_smoke: serve warm-up failed\n";
-    return 1;
-  }
-  const auto tf = clock::now();
-  for (int i = 0; i < runs; ++i) {
-    if (!serve_once()) {
-      std::cerr << "perf_smoke: serve run " << i
-                << " failed — refusing to report throughput\n";
+    const std::string problem = tile::loopback_problem(served, serve_ref);
+    if (!problem.empty()) {
+      std::cerr << "perf_smoke: serve run " << i << " failed (" << problem
+                << ") — refusing to report throughput\n";
       return 1;
     }
   }
-  const double serve_secs =
-      std::chrono::duration<double>(clock::now() - tf).count();
   const double serve_frames_per_sec =
       static_cast<double>(tr.records.size()) * runs / serve_secs;
 
@@ -516,7 +400,7 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"multicore_ops_per_core\": " << mc_ops << ",\n"
        << "  \"serve_frames_per_sec\": " << serve_frames_per_sec << ",\n"
-       << "  \"serve_clients\": " << serve_clients << ",\n"
+       << "  \"serve_clients\": " << serve_opts.clients << ",\n"
        << "  \"sweep_workloads\": " << traces.all().size() << ",\n"
        << "  \"sweep_runs\": " << runs_out.size() * 2 << ",\n"
        << "  \"sweep_threads\": " << pool.threads() << ",\n"
@@ -546,7 +430,7 @@ int main(int argc, char** argv) {
             << "multicore-1024 ops/sec: " << multicore_1024_ops_per_sec
             << " (1 x 1024 cores x " << mc_ops << " ops, wake calendar)\n"
             << "serve frames/sec: " << serve_frames_per_sec << " (" << runs
-            << " x " << ops << " frames, " << serve_clients
+            << " x " << ops << " frames, " << serve_opts.clients
             << " loopback clients, epoll front tier)\n"
             << "sweep wall seconds: " << sweep_secs << " ("
             << runs_out.size() * 2 << " runs on " << pool.threads()

@@ -23,10 +23,10 @@ int usage() {
             << "  trace_tool generate <profile|list> <memory_ops> <out>\n"
             << "  trace_tool analyze <in>\n"
             << "  trace_tool filter <in> <out>\n"
-            << "  trace_tool convert <in> <out.bin|out.fgs|out.trace>\n"
-            << "files ending in .bin use the compact binary format, .fgs the "
-               "FGS1 stream format\n(replayable with bounded memory); inputs "
-               "are format-sniffed.\n";
+            << "  trace_tool convert <in> <out.fgs|out.trace>\n"
+            << "files ending in .fgs use the FGS1 stream format (replayable "
+               "with bounded memory),\nothers the text format; inputs are "
+               "format-sniffed.\n";
   return 2;
 }
 
@@ -36,9 +36,7 @@ bool has_suffix(const std::string& path, const std::string& suffix) {
 }
 
 void write_any(const std::string& path, const fgnvm::trace::Trace& t) {
-  if (has_suffix(path, ".bin")) {
-    fgnvm::trace::write_trace_binary_file(path, t);
-  } else if (has_suffix(path, ".fgs")) {
+  if (has_suffix(path, ".fgs")) {
     fgnvm::trace::write_trace_stream_file(path, t);
   } else {
     fgnvm::trace::write_trace_file(path, t);

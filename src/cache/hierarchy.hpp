@@ -26,7 +26,6 @@ class CacheHierarchy {
   std::vector<trace::TraceRecord> access(Addr addr, OpType op);
 
   const SetAssocCache& level(std::size_t i) const { return levels_.at(i); }
-  std::size_t num_levels() const { return levels_.size(); }
 
   /// LLC misses per kilo-instruction given an instruction count.
   double llc_mpki(std::uint64_t instructions) const;

@@ -1,12 +1,12 @@
 #include "common/sweep.hpp"
 
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
-#include "common/log.hpp"
 
 namespace fgnvm::sim {
 
@@ -26,14 +26,16 @@ bool SweepRunner::in_item() { return t_in_item; }
 
 std::uint64_t clamp_thread_count(std::uint64_t requested, const char* what) {
   if (requested == 0) {
-    log_warn(what, "=0 is invalid; falling back to 1 thread");
+    std::cerr << "[warn ] " << what
+              << "=0 is invalid; falling back to 1 thread\n";
     return 1;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   const std::uint64_t ceiling = 4ULL * (hw > 0 ? hw : 1);
   if (requested > ceiling) {
-    log_warn(what, "=", requested, " exceeds 4x hardware_concurrency; ",
-             "clamping to ", ceiling);
+    std::cerr << "[warn ] " << what << "=" << requested
+              << " exceeds 4x hardware_concurrency; clamping to " << ceiling
+              << "\n";
     return ceiling;
   }
   return requested;

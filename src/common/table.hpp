@@ -18,9 +18,6 @@ class Table {
   /// Convenience: formats doubles with `precision` decimals.
   static std::string fmt(double value, int precision = 3);
 
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return headers_.size(); }
-
   /// Monospace-aligned rendering with a header separator.
   std::string to_text() const;
 

@@ -191,7 +191,6 @@ class ChannelCollector {
   const Log2Histogram& histogram(RequestClass c) const {
     return hists_.at(static_cast<std::size_t>(c));
   }
-  std::uint64_t open_requests() const { return open_.size(); }
   /// Pre-sizes the open-request map. The live set is bounded by the
   /// channel's queue capacities, so one up-front reservation stops
   /// steady-state rehash churn on the hot path.

@@ -64,7 +64,6 @@ class WakeCalendar {
   bool armed(std::uint32_t core) const {
     return armed_due_[core] != kNeverCycle;
   }
-  Cycle due_of(std::uint32_t core) const { return armed_due_[core]; }
 
   /// Arms (or re-arms) `core` to wake at `due`. Requires due >= base and
   /// due != kNeverCycle. O(1) into the wheel window, O(log n) beyond it.
@@ -144,12 +143,6 @@ class WakeCalendar {
         push_wheel(core, due);
       }
     }
-  }
-
-  /// Live entries currently tracked (upper bound including stale ones);
-  /// exposed for tests.
-  std::size_t pending_upper_bound() const {
-    return wheel_count_ + far_.size();
   }
 
  private:

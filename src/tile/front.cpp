@@ -101,7 +101,7 @@ FrontTier::Client* FrontTier::find_client(std::uint32_t id) {
 
 void FrontTier::run() {
   epoll_event evs[64];
-  while (!stop_) {
+  while (!stop_.load(std::memory_order_relaxed)) {
     if (cfg_.exit_when_idle && seen_client_ && clients_.empty()) break;
 
     // Tight timeout only while the tier itself has deferred work (parked
@@ -313,17 +313,7 @@ void FrontTier::submit_items(Client& c,
   bool any_rejected = false;
   for (const Topology::SubmitItem& it : items) {
     if (it.accepted) {
-      ++c.qos.requests;
-      if (it.op == OpType::kRead) {
-        ++c.qos.reads;
-      } else {
-        ++c.qos.writes;
-        Response resp;
-        resp.kind = RespFrame::kWriteAck;
-        resp.tag = it.tag;
-        resp.id = it.id;
-        encode_response(resp, c.outbuf);
-      }
+      on_admitted(c, it);
     } else {
       if (!any_rejected) {
         any_rejected = true;
@@ -333,6 +323,20 @@ void FrontTier::submit_items(Client& c,
     }
   }
   if (any_rejected) park(c, first_rejected);
+}
+
+void FrontTier::on_admitted(Client& c, const Topology::SubmitItem& it) {
+  ++c.qos.requests;
+  if (it.op == OpType::kRead) {
+    ++c.qos.reads;
+    return;
+  }
+  ++c.qos.writes;
+  Response resp;
+  resp.kind = RespFrame::kWriteAck;
+  resp.tag = it.tag;
+  resp.id = it.id;
+  encode_response(resp, c.outbuf);
 }
 
 void FrontTier::park(Client& c, Addr first_rejected) {
@@ -363,17 +367,7 @@ void FrontTier::retry_parked() {
     still_rejected_.clear();
     for (const Topology::SubmitItem& it : c.retry) {
       if (it.accepted) {
-        ++c.qos.requests;
-        if (it.op == OpType::kRead) {
-          ++c.qos.reads;
-        } else {
-          ++c.qos.writes;
-          Response resp;
-          resp.kind = RespFrame::kWriteAck;
-          resp.tag = it.tag;
-          resp.id = it.id;
-          encode_response(resp, c.outbuf);
-        }
+        on_admitted(c, it);
       } else {
         still_rejected_.push_back(it);
       }

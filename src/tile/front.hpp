@@ -25,6 +25,7 @@
 // misbehavior.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -92,12 +93,11 @@ class FrontTier {
   /// failed worker shard — never on client misbehavior.
   void run();
 
-  /// Makes run() return at its next iteration (safe from a signal-ish
-  /// context: plain flag, checked each loop).
-  void stop() { stop_ = true; }
+  /// Makes run() return at its next iteration. Safe from another thread
+  /// or a signal handler: a lock-free atomic flag, checked each loop.
+  void stop() { stop_.store(true, std::memory_order_relaxed); }
 
   const Totals& totals() const { return totals_; }
-  std::size_t client_count() const { return clients_.size(); }
 
  private:
   struct Client {
@@ -130,6 +130,9 @@ class FrontTier {
   void process_frames(Client& c);
   void handle_request(Client& c, const Request& req);
   void submit_items(Client& c, std::vector<Topology::SubmitItem>& items);
+  /// Bookkeeping for an item the rings admitted: the client's QoS counts
+  /// and, for a posted write, its 'A' ack.
+  void on_admitted(Client& c, const Topology::SubmitItem& it);
   void park(Client& c, Addr first_rejected);
   void retry_parked();
   void dispatch_completions();
@@ -144,7 +147,7 @@ class FrontTier {
   Config cfg_;
   int ep_ = -1;
   int listener_ = -1;
-  bool stop_ = false;
+  std::atomic<bool> stop_{false};
   bool seen_client_ = false;
 
   std::unordered_map<int, std::unique_ptr<Client>> clients_;  // by fd

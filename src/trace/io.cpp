@@ -1,12 +1,11 @@
 #include "trace/io.hpp"
 
-#include <algorithm>
-
-#include "trace/stream.hpp"
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "trace/stream.hpp"
 
 namespace fgnvm::trace {
 
@@ -63,97 +62,19 @@ Trace read_trace_file(const std::string& path) {
   return read_trace(f, path);
 }
 
-namespace {
-
-constexpr char kMagic[4] = {'F', 'G', 'T', '1'};
-
-template <typename T>
-void put(std::ostream& os, T value) {
-  unsigned char buf[sizeof(T)];
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<unsigned char>(value >> (8 * i));
-  }
-  os.write(reinterpret_cast<const char*>(buf), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& is) {
-  unsigned char buf[sizeof(T)];
-  is.read(reinterpret_cast<char*>(buf), sizeof(T));
-  if (!is) throw std::runtime_error("read_trace_binary: truncated input");
-  T value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    value |= static_cast<T>(buf[i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
-void write_trace_binary(std::ostream& os, const Trace& trace) {
-  os.write(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(trace.name.size()));
-  os.write(trace.name.data(),
-           static_cast<std::streamsize>(trace.name.size()));
-  put<std::uint64_t>(os, trace.records.size());
-  put<std::uint64_t>(os, trace.tail_icount);
-  for (const TraceRecord& r : trace.records) {
-    if (r.icount_gap > 0xFFFFFFFFull) {
-      throw std::runtime_error("write_trace_binary: gap exceeds 32 bits");
-    }
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(r.icount_gap));
-    put<std::uint64_t>(os, r.addr);
-    put<std::uint8_t>(os, r.op == OpType::kWrite ? 1 : 0);
-  }
-}
-
-void write_trace_binary_file(const std::string& path, const Trace& trace) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("write_trace_binary_file: cannot open " + path);
-  write_trace_binary(f, trace);
-}
-
-Trace read_trace_binary(std::istream& is) {
-  char magic[4];
-  is.read(magic, 4);
-  if (!is || std::memcmp(magic, kMagic, 4) != 0) {
-    throw std::runtime_error("read_trace_binary: bad magic");
-  }
-  Trace t;
-  const auto name_len = get<std::uint32_t>(is);
-  if (name_len > 4096) {
-    throw std::runtime_error("read_trace_binary: implausible name length");
-  }
-  t.name.resize(name_len);
-  is.read(t.name.data(), name_len);
-  const auto count = get<std::uint64_t>(is);
-  t.tail_icount = get<std::uint64_t>(is);
-  // Cap the speculative reservation; a lying header fails on the first
-  // truncated record rather than in a giant allocation.
-  t.records.reserve(std::min<std::uint64_t>(count, 1u << 20));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TraceRecord r;
-    r.icount_gap = get<std::uint32_t>(is);
-    r.addr = get<std::uint64_t>(is);
-    r.op = get<std::uint8_t>(is) ? OpType::kWrite : OpType::kRead;
-    t.records.push_back(r);
-  }
-  return t;
-}
-
-Trace read_trace_binary_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("read_trace_binary_file: cannot open " + path);
-  return read_trace_binary(f);
-}
-
 Trace read_trace_any_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("read_trace_any_file: cannot open " + path);
   char magic[4] = {};
   f.read(magic, 4);
   f.close();
-  if (std::memcmp(magic, kMagic, 4) == 0) return read_trace_binary_file(path);
+  if (std::memcmp(magic, "FGT1", 4) == 0) {
+    throw std::runtime_error(
+        "read_trace_any_file: " + path +
+        " is in the retired FGT1 binary trace format; convert it to the FGS1 "
+        "stream format (.fgs) with a trace_tool that still reads FGT1 "
+        "('trace_tool convert <in> <out.fgs>')");
+  }
   if (std::memcmp(magic, "FGS1", 4) == 0) return read_trace_stream_file(path);
   return read_trace_file(path);
 }

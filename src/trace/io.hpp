@@ -20,17 +20,9 @@ void write_trace_file(const std::string& path, const Trace& trace);
 Trace read_trace(std::istream& is, const std::string& name = "trace");
 Trace read_trace_file(const std::string& path);
 
-/// Compact binary format ("FGT1" magic), little-endian:
-///   magic[4] | u32 name_len | name | u64 record_count | u64 tail_icount |
-///   records of { u32 icount_gap, u64 addr, u8 op }.
-/// About 5x smaller than text and byte-exact on round-trip.
-void write_trace_binary(std::ostream& os, const Trace& trace);
-void write_trace_binary_file(const std::string& path, const Trace& trace);
-Trace read_trace_binary(std::istream& is);
-Trace read_trace_binary_file(const std::string& path);
-
-/// Reads any trace format (text, FGT1, or FGS1 stream — see
-/// trace/stream.hpp), sniffing the magic bytes.
+/// Reads a text or FGS1 stream trace (see trace/stream.hpp), sniffing the
+/// magic bytes. A file in the retired FGT1 binary format throws an error
+/// that says to convert it to FGS1 (.fgs).
 Trace read_trace_any_file(const std::string& path);
 
 }  // namespace fgnvm::trace

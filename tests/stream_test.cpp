@@ -85,7 +85,8 @@ std::string one_record(std::uint8_t len, std::uint32_t gap = 7,
 }
 
 TEST(StreamTest, RoundTripMatchesOriginal) {
-  const Trace t = small_trace();
+  Trace t = small_trace();
+  t.tail_icount = 42;
   ScopedFile f(tmp_path("roundtrip.fgs"));
   write_trace_stream_file(f.path, t);
   const Trace back = read_trace_stream_file(f.path);
@@ -175,21 +176,24 @@ TEST(StreamTest, TruncatedRecordStreamThrows) {
   ScopedFile f(tmp_path("trunc_rec.fgs"));
   write_trace_stream_file(f.path, t);
   std::ifstream in(f.path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string whole((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   in.close();
-  bytes.resize(bytes.size() - 5);  // cut mid-record
-  std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  StreamReader r(f.path);  // header still intact
-  TraceRecord rec;
-  EXPECT_THROW(
-      {
-        while (r.next(rec)) {
-        }
-      },
-      std::runtime_error);
+  // Cut mid-record, and at half the file (still past the header).
+  for (const std::size_t size : {whole.size() - 5, whole.size() / 2}) {
+    std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
+    out.write(whole.data(), static_cast<std::streamsize>(size));
+    out.close();
+    StreamReader r(f.path);  // header still intact
+    TraceRecord rec;
+    EXPECT_THROW(
+        {
+          while (r.next(rec)) {
+          }
+        },
+        std::runtime_error)
+        << size;
+  }
 }
 
 TEST(StreamTest, BadMagicThrows) {
@@ -202,6 +206,11 @@ TEST(StreamTest, BadMagicThrows) {
   io.close();
   EXPECT_THROW(StreamReader r(f.path), std::runtime_error);
   EXPECT_FALSE(is_stream_trace_file(f.path));
+  {
+    std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
+    out << "this is not a trace";
+  }
+  EXPECT_THROW(StreamReader r(f.path), std::runtime_error);
 }
 
 TEST(StreamTest, UnsupportedVersionThrows) {

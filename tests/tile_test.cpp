@@ -14,19 +14,16 @@
 //                          decode_batch (zero-copy views, chop fuzz,
 //                          oversized rejection mid-batch).
 //  * TileFrontMultiClient— N concurrent socketpair clients against a live
-//                          FrontTier with randomized frame splits: per-client
-//                          completion routing, QoS stats isolation, merged
-//                          state diffed against the serial single-stream
-//                          reference; plus a tiny-ring backpressure case
-//                          (parks > 0, still diff-clean).
+//                          FrontTier with randomized frame splits through
+//                          tile::serve_loopback, checked by
+//                          tile::loopback_problem (per-client completion
+//                          routing, QoS stats isolation, merged state diffed
+//                          against the serial single-stream reference); plus
+//                          a tiny-ring backpressure case (parks > 0, still
+//                          diff-clean).
 #include <gtest/gtest.h>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <random>
@@ -35,12 +32,11 @@
 #include <vector>
 
 #include "common/sweep.hpp"
-#include "mem/geometry.hpp"
 #include "sim/runner.hpp"
 #include "sys/memory_system.hpp"
 #include "sys/presets.hpp"
 #include "tile/frame.hpp"
-#include "tile/front.hpp"
+#include "tile/loopback.hpp"
 #include "tile/spsc_ring.hpp"
 #include "tile/topology.hpp"
 #include "trace/generator.hpp"
@@ -683,145 +679,15 @@ TEST(TileFrame, DecodeBatchRejectsOversizedMidBatch) {
 
 // ----------------------------------------------------- multi-client front
 
-/// What one harness client observed on the wire (no gtest assertions in
-/// client threads — errors are collected and asserted on the main thread).
-struct FrontOutcome {
-  std::uint64_t write_acks = 0;
-  std::uint64_t read_done = 0;
-  std::uint64_t busy_frames = 0;
-  std::uint64_t flush_cycles = 0;  // designated client only
-  bool got_stats = false;
-  tile::ClientStatsWire stats;
-  bool ok = true;
-  std::string err;
-};
-
-/// One harness client: streams its partition in randomized chunks while
-/// draining responses, then fences with a 'P' ping (the pong proves every
-/// request was admitted into the shard rings, not just written to the
-/// socket). The designated client issues the single global flush only once
-/// every client's pong arrived; everyone quits only after the flush
-/// completed (a flush overtaking still-buffered traffic would perturb the
-/// channel clocks and break byte-identity with the single-stream reference).
-void front_client_body(int fd, const std::vector<std::uint8_t>& stream,
-                       bool designated, unsigned seed, unsigned nclients,
-                       std::size_t chunk_max, std::atomic<unsigned>& admitted,
-                       std::atomic<bool>& flushed, FrontOutcome& res) {
-  std::mt19937 rng(seed);
-  tile::FrameReader reader;
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> pending = stream;
-  std::size_t sent = 0;
-  bool sent_ping = false, sent_flush = false, sent_quit = false;
-  std::uint8_t rbuf[4096];
-  const auto fail = [&](const std::string& what) {
-    res.ok = false;
-    res.err = what;
-  };
-
-  while (res.ok) {
-    if (sent == pending.size()) {
-      if (!sent_ping) {
-        tile::Request p;
-        p.kind = tile::ReqFrame::kPing;
-        p.tag = 0xfeu;
-        tile::encode_request(p, pending);
-        sent_ping = true;
-      } else if (designated && !sent_flush &&
-                 admitted.load(std::memory_order_acquire) == nclients) {
-        tile::Request f;
-        f.kind = tile::ReqFrame::kFlush;
-        f.tag = 0xf1u;
-        tile::encode_request(f, pending);
-        sent_flush = true;
-      } else if (!sent_quit && flushed.load(std::memory_order_acquire)) {
-        tile::Request q;
-        q.kind = tile::ReqFrame::kQuit;
-        tile::encode_request(q, pending);
-        sent_quit = true;
-      }
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    if (sent < pending.size()) pfd.events |= POLLOUT;
-    const int pr = ::poll(&pfd, 1, 20);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      fail(std::string("poll: ") + std::strerror(errno));
-      break;
-    }
-    if (pr == 0) continue;  // timeout: re-check the flush/quit conditions
-    if ((pfd.revents & POLLOUT) && sent < pending.size()) {
-      std::size_t chunk = 1 + rng() % chunk_max;
-      if (chunk > pending.size() - sent) chunk = pending.size() - sent;
-      const ssize_t n = ::send(fd, pending.data() + sent, chunk, MSG_DONTWAIT);
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
-      } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                 errno != EINTR) {
-        fail(std::string("send: ") + std::strerror(errno));
-        break;
-      }
-    }
-    if (!(pfd.revents & (POLLIN | POLLHUP | POLLERR))) continue;
-    const ssize_t n = ::read(fd, rbuf, sizeof(rbuf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail(std::string("read: ") + std::strerror(errno));
-      break;
-    }
-    if (n == 0) {
-      if (!res.got_stats) fail("connection closed before the stats frame");
-      break;
-    }
-    reader.feed(rbuf, static_cast<std::size_t>(n));
-    while (reader.next(payload)) {
-      const auto resp = tile::decode_response(payload.data(), payload.size());
-      if (!resp) {
-        fail("malformed response frame");
-        break;
-      }
-      switch (resp->kind) {
-        case tile::RespFrame::kWriteAck: ++res.write_acks; break;
-        case tile::RespFrame::kReadDone: ++res.read_done; break;
-        case tile::RespFrame::kBusy: ++res.busy_frames; break;
-        case tile::RespFrame::kPong:
-          admitted.fetch_add(1, std::memory_order_acq_rel);
-          break;
-        case tile::RespFrame::kFlushDone:
-          res.flush_cycles = resp->mem_cycles;
-          flushed.store(true, std::memory_order_release);
-          break;
-        case tile::RespFrame::kStats:
-          res.got_stats = true;
-          res.stats = resp->stats;
-          break;
-        case tile::RespFrame::kError:
-          fail("server error frame: " + resp->error);
-          break;
-      }
-    }
-  }
-}
-
-struct FrontHarnessResult {
-  std::vector<FrontOutcome> outcomes;
-  std::vector<std::uint64_t> want_reads, want_writes;
-  sim::RunResult served;
-  tile::ShardedRunResult ref;
-  tile::FrontTier::Totals totals;
-};
-
-/// Runs `nclients` concurrent socketpair clients against a live FrontTier
-/// and diffs the final merged state against the serial single-stream
-/// reference. Traffic is partitioned by channel ownership (client owns the
-/// channels with ch % nclients == client), so each channel sees the master
-/// trace's exact per-channel subsequence whatever the client interleaving.
-FrontHarnessResult run_front_harness(std::uint64_t shards,
-                                     bool worker_threads,
-                                     std::size_t ring_capacity,
-                                     unsigned nclients, std::uint64_t ops,
-                                     std::size_t chunk_max) {
-  FrontHarnessResult r;
+/// Serves a generated trace to `nclients` socketpair clients through
+/// tile::serve_loopback and expects tile::loopback_problem to find nothing
+/// against the serial single-stream reference: clean clients, exact
+/// per-client completion routing and write acks, QoS stats isolation, the
+/// flush cycle count, no protocol error or dropped completion, and a clean
+/// diff.
+tile::LoopbackRun serve_front(std::uint64_t shards, bool worker_threads,
+                              std::size_t ring_capacity, unsigned nclients,
+                              std::uint64_t ops, std::size_t send_max) {
   const sys::SystemConfig cfg = with_channels(
       sys::fgnvm_config(8, 32), std::max<std::uint64_t>(4, nclients));
 
@@ -831,136 +697,50 @@ FrontHarnessResult run_front_harness(std::uint64_t shards,
   profile.seed = 23;
   const trace::Trace tr = trace::generate_trace(profile, ops);
 
-  const mem::AddressDecoder decoder(cfg.geometry, cfg.mapping);
-  std::vector<std::vector<std::uint8_t>> streams(nclients);
-  r.want_reads.assign(nclients, 0);
-  r.want_writes.assign(nclients, 0);
-  for (std::size_t i = 0; i < tr.records.size(); ++i) {
-    const auto& rec = tr.records[i];
-    const unsigned owner =
-        static_cast<unsigned>(decoder.decode(rec.addr).channel % nclients);
-    tile::Request req;
-    req.kind = rec.op == OpType::kRead ? tile::ReqFrame::kRead
-                                       : tile::ReqFrame::kWrite;
-    req.addr = rec.addr;
-    req.tag = i;
-    tile::encode_request(req, streams[owner]);
-    ++(rec.op == OpType::kRead ? r.want_reads : r.want_writes)[owner];
-  }
-
   tile::TopologyConfig tcfg;
   tcfg.shards = shards;
   tcfg.worker_threads = worker_threads;
   tcfg.ring_capacity = ring_capacity;
-  tile::Topology topo(cfg, tcfg);
-  topo.start();
-
-  tile::FrontTier::Config fcfg;
-  fcfg.exit_when_idle = true;
-  tile::FrontTier front(topo, fcfg);
-
-  std::vector<int> client_fds(nclients, -1);
-  for (unsigned c = 0; c < nclients; ++c) {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      throw std::runtime_error("socketpair failed");
-    }
-    front.add_client(sv[0]);
-    client_fds[c] = sv[1];
-  }
-
-  std::thread server([&] { front.run(); });
-  std::atomic<unsigned> admitted{0};
-  std::atomic<bool> flushed{false};
-  r.outcomes.resize(nclients);
-  std::vector<std::thread> client_threads;
-  client_threads.reserve(nclients);
-  for (unsigned c = 0; c < nclients; ++c) {
-    client_threads.emplace_back([&, c] {
-      front_client_body(client_fds[c], streams[c], /*designated=*/c == 0,
-                        /*seed=*/777u + c, nclients, chunk_max, admitted,
-                        flushed, r.outcomes[c]);
-    });
-  }
-  for (auto& th : client_threads) th.join();
-  bool all_ok = true;
-  for (unsigned c = 0; c < nclients; ++c) {
-    if (!r.outcomes[c].ok) all_ok = false;
-    ::close(client_fds[c]);
-  }
-  if (!all_ok) front.stop();  // a dead client may leave the tier serving
-  server.join();
-
-  r.totals = front.totals();
-  r.served = topo.finish(tr.name);
+  tile::LoopbackOptions opts;
+  opts.clients = nclients;
+  opts.send_max = send_max;
+  opts.seed = 777;
+  tile::LoopbackRun run = tile::serve_loopback(tr, cfg, tcfg, opts);
 
   tile::TopologyConfig ref_cfg;
   ref_cfg.shards = 1;
   ref_cfg.worker_threads = false;
-  r.ref = tile::run_sharded(tr, cfg, ref_cfg);
-  return r;
-}
-
-/// Shared assertions: clean clients, exact per-client completion routing,
-/// QoS stats isolation, and a clean diff against the serial reference.
-void check_front_harness(const FrontHarnessResult& r) {
-  for (std::size_t c = 0; c < r.outcomes.size(); ++c) {
-    const FrontOutcome& o = r.outcomes[c];
-    ASSERT_TRUE(o.ok) << "client " << c << ": " << o.err;
-    // Routing: every completion went to the socket that issued the read.
-    EXPECT_EQ(o.read_done, r.want_reads[c]) << "client " << c;
-    EXPECT_EQ(o.write_acks, r.want_writes[c]) << "client " << c;
-    // QoS isolation: the S frame accounts for exactly this client's
-    // traffic, not the merged stream.
-    ASSERT_TRUE(o.got_stats) << "client " << c;
-    EXPECT_EQ(o.stats.requests, r.want_reads[c] + r.want_writes[c]);
-    EXPECT_EQ(o.stats.reads, r.want_reads[c]);
-    EXPECT_EQ(o.stats.writes, r.want_writes[c]);
-    EXPECT_EQ(o.stats.completions, r.want_reads[c]);
-    if (r.want_reads[c] > 0) {
-      EXPECT_GT(o.stats.p99_read_latency, 0u);
-      EXPECT_LE(o.stats.p50_read_latency, o.stats.p99_read_latency);
-    }
-  }
-  EXPECT_EQ(r.outcomes[0].flush_cycles, r.served.mem_cycles);
-  EXPECT_EQ(sim::diff_results(r.served, r.ref.run), "");
-  EXPECT_EQ(r.totals.clients_served, r.outcomes.size());
-  EXPECT_EQ(r.totals.protocol_errors, 0u);
-  EXPECT_EQ(r.totals.completions_dropped, 0u);
+  const sim::RunResult ref = tile::run_sharded(tr, cfg, ref_cfg).run;
+  EXPECT_EQ(tile::loopback_problem(run, ref), "");
+  return run;
 }
 
 TEST(TileFrontMultiClient, EightClientsThreadedRoutesAndDiffsClean) {
-  check_front_harness(
-      run_front_harness(/*shards=*/4, /*worker_threads=*/true,
-                        /*ring_capacity=*/1024, /*nclients=*/8,
-                        /*ops=*/2000, /*chunk_max=*/256));
+  serve_front(/*shards=*/4, /*worker_threads=*/true, /*ring_capacity=*/1024,
+              /*nclients=*/8, /*ops=*/2000, /*send_max=*/256);
 }
 
 TEST(TileFrontMultiClient, EightClientsSerialInlineShards) {
-  check_front_harness(
-      run_front_harness(/*shards=*/2, /*worker_threads=*/false,
-                        /*ring_capacity=*/1024, /*nclients=*/8,
-                        /*ops=*/1500, /*chunk_max=*/256));
+  serve_front(/*shards=*/2, /*worker_threads=*/false, /*ring_capacity=*/1024,
+              /*nclients=*/8, /*ops=*/1500, /*send_max=*/256);
 }
 
 TEST(TileFrontMultiClient, BackpressureParksAndStaysDiffClean) {
-  // Tiny rings + large client chunks: a single recv() decodes a batch far
+  // Tiny rings + large client sends: a single recv() decodes a batch far
   // larger than a ring, so the tier must park the client, emit 'B', and
   // re-admit the held tail in order. One client keeps the global flush
   // strictly after every admission (its own stream is processed in order),
   // so the run stays byte-identical to the reference under backpressure.
   // Serial shards make the parks deterministic: rings drain only via the
   // event loop's pump, so an over-ring batch always rejects its tail.
-  const FrontHarnessResult r =
-      run_front_harness(/*shards=*/2, /*worker_threads=*/false,
-                        /*ring_capacity=*/8, /*nclients=*/1,
-                        /*ops=*/1500, /*chunk_max=*/4096);
-  check_front_harness(r);
+  const tile::LoopbackRun r =
+      serve_front(/*shards=*/2, /*worker_threads=*/false, /*ring_capacity=*/8,
+                  /*nclients=*/1, /*ops=*/1500, /*send_max=*/4096);
   EXPECT_GT(r.totals.parks, 0u);
   // At most (exactly) one 'B' frame per park episode, delivered to the
   // one client that was parked.
   EXPECT_EQ(r.totals.busy_frames, r.totals.parks);
-  EXPECT_EQ(r.outcomes[0].busy_frames, r.totals.busy_frames);
+  EXPECT_EQ(r.clients[0].busy_frames, r.totals.busy_frames);
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 // generator encodes, and the SPEC2006-like profile set is well-formed.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "mem/geometry.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "trace/spec_profiles.hpp"
+#include "trace/stream.hpp"
 
 namespace fgnvm::trace {
 namespace {
@@ -157,40 +161,29 @@ TEST(TraceIo, ReadsBothCases) {
   EXPECT_EQ(t.records[1].op, OpType::kWrite);
 }
 
-TEST(TraceIo, BinaryRoundTrips) {
-  Trace t = generate_trace(base_profile(), 700);
-  t.tail_icount = 42;
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_trace_binary(ss, t);
-  const Trace back = read_trace_binary(ss);
-  EXPECT_EQ(back.name, t.name);
-  EXPECT_EQ(back.tail_icount, 42u);
-  ASSERT_EQ(back.records.size(), t.records.size());
-  for (std::size_t i = 0; i < t.records.size(); ++i) {
-    EXPECT_EQ(back.records[i].addr, t.records[i].addr);
-    EXPECT_EQ(back.records[i].icount_gap, t.records[i].icount_gap);
-    EXPECT_EQ(back.records[i].op, t.records[i].op);
-  }
-}
-
-TEST(TraceIo, BinaryRejectsGarbage) {
-  std::stringstream ss("this is not a trace");
-  EXPECT_THROW(read_trace_binary(ss), std::runtime_error);
-  std::stringstream truncated(std::ios::in | std::ios::out | std::ios::binary);
-  Trace t = generate_trace(base_profile(), 10);
-  write_trace_binary(truncated, t);
-  std::string data = truncated.str();
-  data.resize(data.size() / 2);
-  std::stringstream half(data, std::ios::in | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(half), std::runtime_error);
-}
-
 TEST(TraceIo, AnySniffsFormat) {
   const Trace t = generate_trace(base_profile(), 50);
-  write_trace_file("/tmp/fg_t.txt", t);
-  write_trace_binary_file("/tmp/fg_t.bin", t);
-  EXPECT_EQ(read_trace_any_file("/tmp/fg_t.txt").records.size(), 50u);
-  EXPECT_EQ(read_trace_any_file("/tmp/fg_t.bin").records.size(), 50u);
+  const std::string dir = ::testing::TempDir();
+  write_trace_file(dir + "fg_t.txt", t);
+  write_trace_stream_file(dir + "fg_t.fgs", t);
+  EXPECT_EQ(read_trace_any_file(dir + "fg_t.txt").records.size(), 50u);
+  EXPECT_EQ(read_trace_any_file(dir + "fg_t.fgs").records.size(), 50u);
+  // The retired FGT1 binary format is named, with the way to convert it.
+  {
+    std::ofstream f(dir + "fg_t.bin", std::ios::binary);
+    f << "FGT1" << std::string(32, '\0');
+  }
+  try {
+    (void)read_trace_any_file(dir + "fg_t.bin");
+    FAIL() << "an FGT1 file must not read";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("FGT1"), std::string::npos) << what;
+    EXPECT_NE(what.find(".fgs"), std::string::npos) << what;
+  }
+  for (const char* leaf : {"fg_t.txt", "fg_t.fgs", "fg_t.bin"}) {
+    std::remove((dir + leaf).c_str());
+  }
 }
 
 TEST(Analyzer, CountsFootprint) {
