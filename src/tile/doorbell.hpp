@@ -1,12 +1,13 @@
-// Sleep-after-spin hand-off for the tile runtime's waits (DESIGN.md §14).
+// Sleep-after-spin wait of an idle shard worker (DESIGN.md §14).
 //
-// A waiter first spins and yields. After kSpinBeforePark of fruitless
-// polling it parks in the kernel on a Doorbell, and the other side pays
-// for a wake-up (a system call) only while a waiter is parked. On an idle
-// host the waits end inside the spin. On a loaded one a parked thread
-// leaves its CPU to the threads that have work, and the scheduler runs it
-// promptly when it is woken, where a yielding spinner would wait for the
-// next time slice.
+// A worker whose command ring is empty first spins and yields. After
+// kSpinBeforePark of fruitless polling it parks in the kernel on its
+// Doorbell, and the coordinator pays for a wake-up (a system call) only
+// while the worker is parked. On an idle host the waits end inside the
+// spin. On a loaded one a parked worker leaves its CPU to the threads that
+// have work. Nothing waits on a worker's answer: a head-of-line
+// coordinator that needs one runs the shard's commands itself under the
+// shard's claim (Topology::run_claimed).
 #pragma once
 
 #include <atomic>
@@ -19,25 +20,21 @@ namespace fgnvm::tile {
 /// How long a waiter polls before it parks.
 inline constexpr std::chrono::microseconds kSpinBeforePark{100};
 
-/// The polling half of a wait: yields between polls and says when the
-/// budget is spent.
+/// The polling half of a wait: yields between polls and says when
+/// kSpinBeforePark is spent.
 class SpinBudget {
  public:
-  explicit SpinBudget(std::chrono::microseconds budget = kSpinBeforePark)
-      : budget_(budget) {}
-
-  /// Yields the CPU once; true once `budget` has passed since the first
-  /// call after construction or reset().
+  /// Yields the CPU once; true once kSpinBeforePark has passed since the
+  /// first call after construction or reset().
   bool yield_then_expired() {
     const auto now = std::chrono::steady_clock::now();
     if (start_ == std::chrono::steady_clock::time_point{}) start_ = now;
     std::this_thread::yield();
-    return std::chrono::steady_clock::now() - start_ >= budget_;
+    return std::chrono::steady_clock::now() - start_ >= kSpinBeforePark;
   }
   void reset() { start_ = {}; }
 
  private:
-  std::chrono::microseconds budget_;
   std::chrono::steady_clock::time_point start_{};
 };
 

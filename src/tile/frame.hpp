@@ -46,8 +46,9 @@
 //                                          park_ns (host time spent parked)
 //
 // The codec is header-only and socket-free so it unit-tests without I/O:
-// encode_* append one complete frame to a byte vector; FrameReader
-// incrementally splits a byte stream back into payloads.
+// encode_* append one complete frame to a byte vector (one resize, then
+// stores at fixed offsets); FrameReader incrementally splits a byte stream
+// back into payloads.
 #pragma once
 
 #include <cstdint>
@@ -119,17 +120,22 @@ struct Response {
 
 namespace wire {
 
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+inline void store_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+inline void store_u64(std::uint8_t* p, std::uint64_t v) {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + 4);
+  store_u32(out.data() + at, v);
 }
 
 /// Bounds-unchecked reads; callers verify payload sizes first.
@@ -146,88 +152,95 @@ inline std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-/// Patches the length prefix after the payload has been appended.
-inline std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+/// Grows `out` by one whole frame whose payload is the type byte plus
+/// `fields` bytes, writes the length prefix and the type, and returns where
+/// the fields go.
+inline std::uint8_t* append_frame(std::vector<std::uint8_t>& out,
+                                  std::uint8_t type, std::size_t fields) {
   const std::size_t at = out.size();
-  put_u32(out, 0);
-  return at;
-}
-
-inline void end_frame(std::vector<std::uint8_t>& out, std::size_t at) {
-  const std::uint32_t len = static_cast<std::uint32_t>(out.size() - at - 4);
-  out[at] = static_cast<std::uint8_t>(len);
-  out[at + 1] = static_cast<std::uint8_t>(len >> 8);
-  out[at + 2] = static_cast<std::uint8_t>(len >> 16);
-  out[at + 3] = static_cast<std::uint8_t>(len >> 24);
+  out.resize(at + 5 + fields);
+  std::uint8_t* p = out.data() + at;
+  store_u32(p, static_cast<std::uint32_t>(1 + fields));
+  p[4] = type;
+  return p + 5;
 }
 
 }  // namespace wire
 
 inline void encode_request(const Request& r, std::vector<std::uint8_t>& out) {
-  const std::size_t at = wire::begin_frame(out);
-  out.push_back(static_cast<std::uint8_t>(r.kind));
+  const auto type = static_cast<std::uint8_t>(r.kind);
   switch (r.kind) {
     case ReqFrame::kRead:
-    case ReqFrame::kWrite:
-      wire::put_u64(out, r.addr);
-      wire::put_u64(out, r.tag);
-      wire::put_u64(out, r.not_before);
-      break;
+    case ReqFrame::kWrite: {
+      std::uint8_t* p = wire::append_frame(out, type, 24);
+      wire::store_u64(p, r.addr);
+      wire::store_u64(p + 8, r.tag);
+      wire::store_u64(p + 16, r.not_before);
+      return;
+    }
     case ReqFrame::kFlush:
     case ReqFrame::kPing:
-      wire::put_u64(out, r.tag);
-      break;
+      wire::store_u64(wire::append_frame(out, type, 8), r.tag);
+      return;
     case ReqFrame::kQuit:
       break;
   }
-  wire::end_frame(out, at);
+  wire::append_frame(out, type, 0);
 }
 
 inline void encode_response(const Response& r,
                             std::vector<std::uint8_t>& out) {
-  const std::size_t at = wire::begin_frame(out);
-  out.push_back(static_cast<std::uint8_t>(r.kind));
+  const auto type = static_cast<std::uint8_t>(r.kind);
   switch (r.kind) {
-    case RespFrame::kWriteAck:
-      wire::put_u64(out, r.tag);
-      wire::put_u64(out, r.id);
-      break;
-    case RespFrame::kReadDone:
-      wire::put_u64(out, r.tag);
-      wire::put_u64(out, r.id);
-      wire::put_u64(out, r.submitted);
-      wire::put_u64(out, r.completed);
-      wire::put_u32(out, r.channel);
-      break;
-    case RespFrame::kFlushDone:
-      wire::put_u64(out, r.tag);
-      wire::put_u64(out, r.mem_cycles);
-      break;
-    case RespFrame::kError:
-      wire::put_u64(out, r.tag);
-      wire::put_u32(out, static_cast<std::uint32_t>(r.error.size()));
-      out.insert(out.end(), r.error.begin(), r.error.end());
-      break;
-    case RespFrame::kBusy:
-      wire::put_u64(out, r.tag);
-      wire::put_u64(out, r.free_slots);
-      break;
+    case RespFrame::kWriteAck: {
+      std::uint8_t* p = wire::append_frame(out, type, 16);
+      wire::store_u64(p, r.tag);
+      wire::store_u64(p + 8, r.id);
+      return;
+    }
+    case RespFrame::kReadDone: {
+      std::uint8_t* p = wire::append_frame(out, type, 36);
+      wire::store_u64(p, r.tag);
+      wire::store_u64(p + 8, r.id);
+      wire::store_u64(p + 16, r.submitted);
+      wire::store_u64(p + 24, r.completed);
+      wire::store_u32(p + 32, r.channel);
+      return;
+    }
+    case RespFrame::kFlushDone: {
+      std::uint8_t* p = wire::append_frame(out, type, 16);
+      wire::store_u64(p, r.tag);
+      wire::store_u64(p + 8, r.mem_cycles);
+      return;
+    }
+    case RespFrame::kError: {
+      std::uint8_t* p = wire::append_frame(out, type, 12 + r.error.size());
+      wire::store_u64(p, r.tag);
+      wire::store_u32(p + 8, static_cast<std::uint32_t>(r.error.size()));
+      std::memcpy(p + 12, r.error.data(), r.error.size());
+      return;
+    }
+    case RespFrame::kBusy: {
+      std::uint8_t* p = wire::append_frame(out, type, 16);
+      wire::store_u64(p, r.tag);
+      wire::store_u64(p + 8, r.free_slots);
+      return;
+    }
     case RespFrame::kPong:
-      wire::put_u64(out, r.tag);
-      break;
-    case RespFrame::kStats:
-      wire::put_u64(out, r.stats.requests);
-      wire::put_u64(out, r.stats.reads);
-      wire::put_u64(out, r.stats.writes);
-      wire::put_u64(out, r.stats.completions);
-      wire::put_u64(out, r.stats.bytes_in);
-      wire::put_u64(out, r.stats.bytes_out);
-      wire::put_u64(out, r.stats.p50_read_latency);
-      wire::put_u64(out, r.stats.p99_read_latency);
-      wire::put_u64(out, r.stats.park_ns);
-      break;
+      wire::store_u64(wire::append_frame(out, type, 8), r.tag);
+      return;
+    case RespFrame::kStats: {
+      std::uint8_t* p = wire::append_frame(out, type, 72);
+      const std::uint64_t fields[9] = {
+          r.stats.requests,         r.stats.reads,    r.stats.writes,
+          r.stats.completions,      r.stats.bytes_in, r.stats.bytes_out,
+          r.stats.p50_read_latency, r.stats.p99_read_latency,
+          r.stats.park_ns};
+      for (int i = 0; i < 9; ++i) wire::store_u64(p + 8 * i, fields[i]);
+      return;
+    }
   }
-  wire::end_frame(out, at);
+  wire::append_frame(out, type, 0);
 }
 
 /// Decodes one complete payload (no length prefix). nullopt = malformed.

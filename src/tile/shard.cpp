@@ -52,7 +52,7 @@ void Shard::run() {
   while (!stopping && !stop_.load(std::memory_order_relaxed)) {
     if (!try_claim()) {
       // The coordinator is running this shard's commands (head-of-line
-      // mode, see Topology::await_reply).
+      // mode, see Topology::run_claimed).
       std::this_thread::yield();
       continue;
     }
@@ -64,14 +64,10 @@ void Shard::run() {
     const std::size_t got = ingress_.try_pop_n(batch, kCmdBatch);
     const bool worked = got > 0 || horizon > reached_;
     if (got > 0) {
-      const std::uint64_t depth =
-          static_cast<std::uint64_t>(ingress_.size()) + got;
-      if (depth > metrics_.ingress_peak) metrics_.ingress_peak = depth;
       for (std::size_t i = 0; i < got; ++i) {
         if (batch[i].kind == TileCmd::Kind::kStop) {
           // kStop is the last command the coordinator ever pushes; anything
           // popped after it in this batch is undefined traffic and dropped.
-          ++metrics_.cmds;
           stopping = true;
           break;
         }
@@ -86,14 +82,12 @@ void Shard::run() {
       idle.reset();
       continue;
     }
-    ++metrics_.ingress_empty;
     cpu_relax();
     if (++spins >= kSpinLimit) {
       spins = 0;
       if (idle.yield_then_expired()) {
         // The coordinator rings after every push; a parked head-of-line
         // worker skips the horizon and catches up at its next command.
-        ++metrics_.parks;
         doorbell_.park([&] { return !ingress_.empty() || stop_requested(); });
         idle.reset();
       }
@@ -106,24 +100,19 @@ std::size_t Shard::process_pending() {
   TileCmd cmd;
   while (ingress_.try_pop(cmd)) {
     ++handled;
-    if (cmd.kind == TileCmd::Kind::kStop) {
-      ++metrics_.cmds;
-      break;
-    }
+    if (cmd.kind == TileCmd::Kind::kStop) break;
     handle(cmd);
   }
   return handled;
 }
 
 void Shard::handle(const TileCmd& cmd) {
-  ++metrics_.cmds;
   switch (cmd.kind) {
     case TileCmd::Kind::kSubmit:
       handle_submit(cmd);
       break;
     case TileCmd::Kind::kFlush: {
       flush_channels();
-      ++metrics_.flushes;
       TileEvt evt;
       evt.kind = TileEvt::Kind::kFlushDone;
       evt.channel = index_;  // flush acks carry the shard, not a channel
@@ -147,7 +136,6 @@ void Shard::handle_submit(const TileCmd& cmd) {
   // event-skipping loop would execute before a submission at t.
   if (c.due < t) {
     c.due = c.ctrl->advance_to(c.due, t);
-    ++metrics_.advance_calls;
   }
 
   // Backpressure: walk the chain until the channel frees capacity.
@@ -195,20 +183,10 @@ void Shard::handle_submit(const TileCmd& cmd) {
   publish_completions(c);
   if (!hol_) return;
   publish_departures(c);
-  if (cmd.ask) {
-    TileEvt evt;
-    evt.kind = TileEvt::Kind::kAccepted;
-    evt.channel = c.global_ch;
-    evt.id = cmd.id;
-    evt.submitted = t;
-    push_evt(evt);
-    if (reply_bell_ != nullptr) reply_bell_->ring();
-    ++metrics_.asks;
-  }
+  if (cmd.ask) ++metrics_.asks;
 }
 
 Cycle Shard::walk_until_accept(Channel& c, OpType op) {
-  ++metrics_.advance_calls;
   if (horizon_ == nullptr) {
     return c.ctrl->advance_until_accept(c.due, op, max_cycles_);
   }
@@ -231,7 +209,6 @@ void Shard::advance_to_horizon(Cycle horizon) {
   for (Channel& c : chan_) {
     if (c.due < horizon) {
       c.due = c.ctrl->advance_to(c.due, horizon);
-      ++metrics_.advance_calls;
       publish_completions(c);
       publish_departures(c);
     }
@@ -259,7 +236,6 @@ void Shard::flush_channels() {
       }
       c.end = c.due + 1;
       c.due = c.ctrl->advance_to(c.due, c.due + 1);
-      ++metrics_.advance_calls;
     }
     if (c.end > c.clock) c.clock = c.end;
     publish_completions(c);
@@ -284,8 +260,6 @@ void Shard::publish_completions(Channel& c) {
 }
 
 void Shard::push_evt(const TileEvt& evt) {
-  if (egress_.try_push(evt)) return;
-  ++metrics_.egress_stalls;
   int spins = 0;
   while (!egress_.try_push(evt)) {
     // Teardown valve: once the coordinator requested an emergency stop

@@ -24,9 +24,10 @@
 // Head-of-line mode (Topology::replay_head_of_line, DESIGN.md §14) keeps
 // that per-channel walk but lets the coordinator carry one global
 // submission cycle in not_before: the shard publishes each channel's queue
-// departures (the coordinator's credits), answers a command that asks with
-// its accepted cycle, advances idle channels to a shared horizon, and
-// drains completions without publishing them.
+// departures (the coordinator's credits), advances idle channels to a
+// shared horizon, and drains completions without publishing them. The
+// coordinator reads a blocked command's accepted cycle from the channel's
+// clock under the shard's claim (try_claim).
 #pragma once
 
 #include <atomic>
@@ -61,9 +62,9 @@ struct TileCmd {
   };
   Kind kind = Kind::kSubmit;
   OpType op = OpType::kRead;
-  /// Head-of-line mode: reply with a kAccepted event carrying the cycle the
-  /// request entered its channel. Without it the coordinator's credits
-  /// guarantee that cycle is not_before.
+  /// Head-of-line mode: the coordinator reads the cycle the request entered
+  /// its channel (Topology::run_claimed). Without an ask the coordinator's
+  /// credits guarantee that cycle is not_before.
   bool ask = false;
   std::uint32_t local_ch = 0;  ///< channel index within the shard
   RequestId id = 0;
@@ -73,10 +74,9 @@ struct TileCmd {
 };
 
 /// Outbound event: a read completion (writes are posted — the coordinator
-/// acks them at submission), a flush acknowledgment, or the reply to a
-/// command that asked (head-of-line mode).
+/// acks them at submission) or a flush acknowledgment.
 struct TileEvt {
-  enum class Kind : std::uint8_t { kCompletion, kFlushDone, kAccepted };
+  enum class Kind : std::uint8_t { kCompletion, kFlushDone };
   Kind kind = Kind::kCompletion;
   std::uint32_t channel = 0;  ///< global channel id
   RequestId id = 0;
@@ -99,19 +99,12 @@ struct alignas(64) Departures {
 /// telemetry only — never part of the simulated stats the equivalence
 /// suites compare.
 struct alignas(64) ShardMetrics {
-  std::uint64_t cmds = 0;           ///< commands consumed
-  std::uint64_t ops = 0;            ///< requests enqueued
+  std::uint64_t ops = 0;          ///< requests enqueued
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  std::uint64_t completions = 0;    ///< read completions published
-  std::uint64_t flushes = 0;
-  std::uint64_t ingress_empty = 0;  ///< idle polls (one cpu_relax each)
-  std::uint64_t parks = 0;          ///< sleeps after a long idle stretch
-  std::uint64_t egress_stalls = 0;  ///< pushes that waited for ring space
-  std::uint64_t ingress_peak = 0;   ///< high-water inbound occupancy
-  std::uint64_t advance_calls = 0;  ///< event-chain advances executed
+  std::uint64_t completions = 0;  ///< read completions published
   // Head-of-line mode only.
-  std::uint64_t asks = 0;              ///< kAccepted replies sent
+  std::uint64_t asks = 0;              ///< asking commands handled
   std::uint64_t horizon_advances = 0;  ///< idle advances to the horizon
   std::uint64_t marks = 0;             ///< walk positions published
 };
@@ -147,12 +140,10 @@ class alignas(64) Shard {
   /// Construction-time wiring: switches the shard to head-of-line mode.
   /// `horizon` is the shared submission horizon of a threaded replay (null
   /// inline): the idle worker advances its channels to it, and a blocked
-  /// walk publishes its chain position into it. `replies` is rung after
-  /// every kAccepted reply (null inline).
-  void follow_head_of_line(std::atomic<Cycle>* horizon, Doorbell* replies) {
+  /// walk publishes its chain position into it.
+  void follow_head_of_line(std::atomic<Cycle>* horizon) {
     hol_ = true;
     horizon_ = horizon;
-    reply_bell_ = replies;
   }
 
   /// Rung by the coordinator after every push to ingress() (and by
@@ -161,9 +152,12 @@ class alignas(64) Shard {
 
   /// The worker holds this claim while it processes a batch or advances
   /// its channels, and drops it in between. A head-of-line coordinator
-  /// whose reply is late claims the shard and runs process_pending()
-  /// itself, so a worker that is parked or not scheduled never holds up a
-  /// reply. A worker that throws keeps its claim.
+  /// that waits for an ask claims the shard, runs process_pending() itself
+  /// and reads the channel's clock before it releases the claim
+  /// (Topology::run_claimed): the release/acquire pair publishes the state
+  /// of whichever thread ran the command, and a worker that is parked or
+  /// not scheduled never holds up an ask. A worker that throws keeps its
+  /// claim.
   bool try_claim() {
     return !claimed_.load(std::memory_order_relaxed) &&
            !claimed_.exchange(true, std::memory_order_acquire);
@@ -246,7 +240,6 @@ class alignas(64) Shard {
   Doorbell doorbell_;                  // wakes a parked worker
   bool hol_ = false;                   // head-of-line mode
   std::atomic<Cycle>* horizon_ = nullptr;  // threaded head-of-line only
-  Doorbell* reply_bell_ = nullptr;         // threaded head-of-line only
   Cycle reached_ = 0;                  // horizon the channels last ran to
 };
 

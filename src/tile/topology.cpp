@@ -1,21 +1,12 @@
 #include "tile/topology.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "common/sweep.hpp"
 
 namespace fgnvm::tile {
-
-namespace {
-
-/// The shortest wait before the coordinator runs a late worker's commands.
-constexpr std::chrono::microseconds kMinHelpAfter{2};
-
-}  // namespace
-
 
 Topology::Topology(const sys::SystemConfig& cfg, const TopologyConfig& tcfg)
     : cfg_(cfg),
@@ -95,7 +86,6 @@ void Topology::worker_body(std::size_t i) {
   } catch (...) {
     errors_[i] = std::current_exception();
     failed_[i].store(true, std::memory_order_release);
-    replies_.ring();
   }
   // Keep the rings flowing after a failure so the coordinator's blocking
   // loops never wedge: discard submits, ack flushes, exit on stop (the
@@ -132,9 +122,6 @@ void Topology::drain_egress() {
     while (shard->egress().try_pop(evt)) {
       if (evt.kind == TileEvt::Kind::kFlushDone) {
         ++flush_acks_;
-      } else if (evt.kind == TileEvt::Kind::kAccepted) {
-        replied_ = true;
-        accepted_at_ = evt.submitted;
       } else {
         ready_.push_back(Completion{evt.channel, evt.id, evt.tag,
                                     evt.submitted, evt.completed});
@@ -162,59 +149,26 @@ void Topology::rethrow_worker_error() {
   }
 }
 
-void Topology::await_reply(std::size_t shard) {
-  if (!tcfg_.worker_threads) {
-    while (!replied_) make_progress();
-    return;
-  }
-  const auto ready = [&] {
-    if (!shards_[shard]->egress().empty()) return true;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (failed_[i].load(std::memory_order_acquire)) return true;
-    }
-    return false;
-  };
-  SpinBudget spin(help_after_);
-  bool helped = false;
-  for (;;) {
-    drain_egress();
-    if (replied_) break;
-    rethrow_worker_error();
-    if (!spin.yield_then_expired()) continue;
-    spin.reset();
-    if (run_for_late_worker(shard)) {
-      helped = true;
-    } else {
-      replies_.park(ready);
-    }
-  }
-  // Workers that answer late keep answering late while the host is busy:
-  // halve the wait before helping after each late reply, and double it
-  // again (up to kSpinBeforePark) after each prompt one.
-  help_after_ = helped ? std::max(help_after_ / 2, kMinHelpAfter)
-                       : std::min(help_after_ * 2, kSpinBeforePark);
-}
-
-bool Topology::run_for_late_worker(std::size_t shard) {
+Cycle Topology::run_claimed(std::size_t shard, std::uint32_t local) {
   Shard& s = *shards_[shard];
-  if (s.ingress().empty() || !s.try_claim()) return false;
+  if (!tcfg_.worker_threads) {
+    s.process_pending();
+    return s.channels()[local].clock;
+  }
+  // A worker that threw keeps its claim; its error ends the wait.
+  while (!s.try_claim()) {
+    rethrow_worker_error();
+    std::this_thread::yield();
+  }
   s.process_pending();
+  const Cycle clock = s.channels()[local].clock;
   s.release_claim();
-  return true;
+  return clock;
 }
 
 void Topology::push_replay_cmd(std::size_t shard, const TileCmd& cmd) {
-  if (!tcfg_.worker_threads) {
-    push_cmd(shard, cmd);
-    return;
-  }
-  SpinBudget spin(help_after_);
   while (!shards_[shard]->ingress().try_push(cmd)) {
-    rethrow_worker_error();
-    if (spin.yield_then_expired()) {
-      run_for_late_worker(shard);
-      spin.reset();
-    }
+    run_claimed(shard, cmd.local_ch);
   }
   shards_[shard]->doorbell().ring();
 }
@@ -396,18 +350,15 @@ std::vector<ShardMetrics> Topology::shard_metrics() const {
 
 sim::RunResult Topology::replay_head_of_line(trace::RecordSource& source) {
   for (auto& shard : shards_) {
-    if (tcfg_.worker_threads) {
-      shard->follow_head_of_line(&horizon_.cycle, &replies_);
-    } else {
-      shard->follow_head_of_line(nullptr, nullptr);
-    }
+    shard->follow_head_of_line(tcfg_.worker_threads ? &horizon_.cycle
+                                                    : nullptr);
   }
   start();
   // Credits (DESIGN.md §14): per channel and op, the requests sent minus
   // the departures the shard last published bound the queue's occupancy
   // from above — a queue only drains between two submissions — so while
-  // that bound is below the cap the record is accepted at `now` and needs
-  // no reply.
+  // that bound is below the cap the record is accepted at `now` and the
+  // coordinator need not wait for it.
   struct Credit {
     std::uint64_t sent[2] = {0, 0};
     std::uint64_t departed[2] = {0, 0};
@@ -440,9 +391,7 @@ sim::RunResult Topology::replay_head_of_line(trace::RecordSource& source) {
     ++credit.sent[k];
     ++(rec.op == OpType::kRead ? reads_ : writes_);
     if (ask) {
-      await_reply(r.shard);
-      replied_ = false;
-      now = accepted_at_;
+      now = run_claimed(r.shard, r.local);
       // Released after every command with an earlier not_before was
       // pushed: a shard that reads this horizon also sees those commands.
       horizon_.cycle.store(now, std::memory_order_release);

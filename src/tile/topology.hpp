@@ -162,6 +162,9 @@ class Topology {
     std::uint32_t local = 0;
   };
 
+  /// Pushes `cmd`, making progress (egress included) while the ring is
+  /// full: a serve worker can block on a full egress ring while it holds
+  /// its claim.
   void push_cmd(std::size_t shard, const TileCmd& cmd);
   /// Pops every available egress event into ready_ / flush_acks_.
   void drain_egress();
@@ -169,14 +172,15 @@ class Topology {
   /// yields. The wait step of every blocking loop.
   void make_progress();
   void rethrow_worker_error();
-  /// Head-of-line waits on one shard: for its kAccepted reply, and for
-  /// space in its ring. Both spin first. A worker that has not delivered
-  /// by then is parked or not scheduled, so the coordinator claims the
-  /// shard and runs its commands itself (run_for_late_worker); failing
-  /// that, await_reply parks on replies_.
-  void await_reply(std::size_t shard);
+  /// Head-of-line only: waits for `shard`'s claim, runs its pending
+  /// commands and returns local channel `local`'s clock, read before the
+  /// claim is released. After an asking push that clock is the cycle the
+  /// command was accepted at, whichever thread ran it: a worker holds the
+  /// claim for the whole batch it popped. Never drains egress, since in
+  /// this mode a shard publishes only flush acks, which finish() collects.
+  Cycle run_claimed(std::size_t shard, std::uint32_t local);
+  /// Head-of-line push: runs the shard's commands while its ring is full.
   void push_replay_cmd(std::size_t shard, const TileCmd& cmd);
-  bool run_for_late_worker(std::size_t shard);
   void worker_body(std::size_t i);
 
   sys::SystemConfig cfg_;
@@ -195,17 +199,11 @@ class Topology {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::size_t flush_acks_ = 0;
-  bool replied_ = false;      // a kAccepted reply arrived ...
-  Cycle accepted_at_ = 0;     // ... carrying this cycle
   // Head-of-line submission horizon, on its own line: the shards poll it.
   struct alignas(64) Horizon {
     std::atomic<Cycle> cycle{0};
   };
   Horizon horizon_;
-  Doorbell replies_;  // rung by shards after a reply or a failure
-  // How long a head-of-line wait spins before it runs a late worker's
-  // commands (adapted in await_reply).
-  std::chrono::microseconds help_after_ = kSpinBeforePark;
   std::vector<Completion> ready_;  // drained, not yet handed to the client
   // try_submit_batch scratch (per-shard staging + original item indices),
   // reused across calls so the hot path stays allocation-free.

@@ -1,11 +1,13 @@
 // Head-of-line replay on the tile shards (DESIGN.md §9, §14): the
 // event-skip engine of sim::run_memory_only for a plain system. Each
 // channel lives on one shard thread; the coordinator carries one global
-// submission cycle, sends records on credit and asks for a reply only when
-// a queue may be full. These tests pin the replay bit-identical to the
+// submission cycle, sends records on credit and, only when a queue may be
+// full, asks: it claims the shard and reads the record's accepted cycle
+// from the channel. These tests pin the replay bit-identical to the
 // cycle-accurate loop with the shard threads running (checked through the
-// shards' metrics), inline at FGNVM_THREADS=1 and inside a sweep item, and
-// check that a max_mem_cycles overrun throws the serial run's error.
+// shards' metrics), with asks that reach parked workers and more workers
+// than CPUs, inline at FGNVM_THREADS=1 and inside a sweep item, and check
+// that a max_mem_cycles overrun throws the serial run's error.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,12 +15,14 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/sweep.hpp"
 #include "sim/runner.hpp"
 #include "sys/memory_system.hpp"
 #include "sys/presets.hpp"
+#include "tile/doorbell.hpp"
 #include "tile/topology.hpp"
 #include "trace/generator.hpp"
 #include "trace/spec_profiles.hpp"
@@ -168,6 +172,71 @@ TEST(HeadOfLineReplayWalks, WriteHeavyRunAsksAndPublishesTheHorizon) {
   EXPECT_GT(total(got, &tile::ShardMetrics::horizon_advances), 0u);
   EXPECT_EQ(total(got, &tile::ShardMetrics::completions), 0u)
       << "a head-of-line replay keeps no completion stream";
+}
+
+/// Forwards a source, sleeping 3 x kSpinBeforePark before every `every`-th
+/// record: the shard workers run out of commands and park.
+class NappingSource final : public trace::RecordSource {
+ public:
+  NappingSource(trace::RecordSource& inner, std::uint64_t every)
+      : inner_(inner), every_(every) {}
+
+  const std::string& name() const override { return inner_.name(); }
+  std::uint64_t memory_ops() const override { return inner_.memory_ops(); }
+  std::uint64_t tail_icount() const override { return inner_.tail_icount(); }
+  std::uint64_t total_instructions() const override {
+    return inner_.total_instructions();
+  }
+  bool next(trace::TraceRecord& out) override {
+    if (++count_ % every_ == 0) {
+      std::this_thread::sleep_for(3 * tile::kSpinBeforePark);
+    }
+    return inner_.next(out);
+  }
+  void reset() override {
+    count_ = 0;
+    inner_.reset();
+  }
+
+ private:
+  trace::RecordSource& inner_;
+  const std::uint64_t every_;
+  std::uint64_t count_ = 0;
+};
+
+TEST(HeadOfLineStarvedWorkers, AsksReachParkedWorkers) {
+  // Every 200th record comes late enough that all workers park, so the
+  // asks after it go to shards whose workers sleep.
+  const ScopedThreads threads("4");
+  const sys::SystemConfig cfg = deep_fgnvm(4);
+  const trace::Trace tr = write_heavy_trace(12000);
+  const sim::RunResult ref = sim::run_memory_only(
+      tr, cfg, 500'000'000, sim::LoopMode::kCycleAccurate);
+  trace::TraceSource inner(tr);
+  NappingSource source(inner, 200);
+  const tile::HeadOfLineRun got =
+      tile::run_head_of_line(source, cfg, 500'000'000);
+  EXPECT_EQ(sim::diff_results(ref, got.run), "");
+  ASSERT_TRUE(got.threaded);
+  EXPECT_GT(total(got, &tile::ShardMetrics::asks), 0u);
+}
+
+TEST(HeadOfLineStarvedWorkers, MoreWorkersThanCpus) {
+  // Eight workers plus the coordinator: on a host with fewer CPUs some
+  // asks go to workers that are not scheduled.
+  const ScopedThreads threads("8");
+  const sys::SystemConfig cfg = deep_fgnvm(8);
+  const trace::Trace tr = write_heavy_trace(16000);
+  const sim::RunResult ref = sim::run_memory_only(
+      tr, cfg, 500'000'000, sim::LoopMode::kCycleAccurate);
+  trace::TraceSource source(tr);
+  const tile::HeadOfLineRun got =
+      tile::run_head_of_line(source, cfg, 500'000'000);
+  EXPECT_EQ(sim::diff_results(ref, got.run), "");
+  ASSERT_TRUE(got.threaded);
+  // Eight shards unless the host is small enough to clamp them.
+  EXPECT_EQ(got.shards.size(), sim::clamp_thread_count(8, "test"));
+  EXPECT_GT(total(got, &tile::ShardMetrics::asks), 0u);
 }
 
 /// Runs `tr` memory-only and returns the message of the runtime_error it

@@ -10,8 +10,9 @@
 //  * TileAnchor          — single-channel tile semantics coincide with
 //                          sim::run_memory_only's submission/tick schedule.
 //  * TileThreadCount     — thread/shard count validation.
-//  * TileFrame           — fgnvm_serve wire codec roundtrip, framing, and
-//                          decode_batch (zero-copy views, chop fuzz,
+//  * TileFrame           — fgnvm_serve wire codec: golden bytes of every
+//                          request and response kind, roundtrip, framing,
+//                          and decode_batch (zero-copy views, chop fuzz,
 //                          oversized rejection mid-batch).
 //  * TileFrontMultiClient— N concurrent socketpair clients against a live
 //                          FrontTier with randomized frame splits through
@@ -355,6 +356,147 @@ TEST(TileFrame, ResponseRoundtrip) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->kind, tile::RespFrame::kError);
   EXPECT_EQ(got->error, "bad frame");
+}
+
+/// Lower-case hex of `bytes`, for readable golden-bytes failures.
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// The golden-bytes cases pin the wire format that other clients speak (the
+// perfbench serve client, external tools), not just encode/decode symmetry:
+// a u32 LE payload length, the type byte, then LE fields.
+TEST(TileFrame, RequestGoldenBytes) {
+  struct Case {
+    tile::Request req;
+    const char* want;
+  };
+  const Case cases[] = {
+      {{tile::ReqFrame::kRead, 0x0102030405060708ull, 0x1112131415161718ull,
+        0x2122232425262728ull},
+       "19000000"
+       "52"
+       "0807060504030201"
+       "1817161514131211"
+       "2827262524232221"},
+      {{tile::ReqFrame::kWrite, 0x40, 0xfe, 0x1234},
+       "19000000"
+       "57"
+       "4000000000000000"
+       "fe00000000000000"
+       "3412000000000000"},
+      {{tile::ReqFrame::kFlush, 0, 0x0a0b0c0d0e0f1011ull, 0},
+       "09000000"
+       "46"
+       "11100f0e0d0c0b0a"},
+      {{tile::ReqFrame::kPing, 0, 0x99, 0},
+       "09000000"
+       "50"
+       "9900000000000000"},
+      {{tile::ReqFrame::kQuit, 0, 0, 0},
+       "01000000"
+       "51"},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> bytes = {0xaa};  // encoders append
+    tile::encode_request(c.req, bytes);
+    EXPECT_EQ(hex(bytes), std::string("aa") + c.want)
+        << "request '" << static_cast<char>(c.req.kind) << "'";
+  }
+}
+
+TEST(TileFrame, ResponseGoldenBytes) {
+  struct Case {
+    tile::Response resp;
+    const char* want;
+  };
+  std::vector<Case> cases;
+  tile::Response r;
+  r.kind = tile::RespFrame::kWriteAck;
+  r.tag = 0x0102030405060708ull;
+  r.id = 0x1112131415161718ull;
+  cases.push_back({r,
+                   "11000000"
+                   "41"
+                   "0807060504030201"
+                   "1817161514131211"});
+  r = tile::Response{};
+  r.kind = tile::RespFrame::kReadDone;
+  r.tag = 7;
+  r.id = 0x123;
+  r.submitted = 0x1000;
+  r.completed = 0x20000525;
+  r.channel = 0x0a0b0c0d;
+  cases.push_back({r,
+                   "25000000"
+                   "43"
+                   "0700000000000000"
+                   "2301000000000000"
+                   "0010000000000000"
+                   "2505002000000000"
+                   "0d0c0b0a"});
+  r = tile::Response{};
+  r.kind = tile::RespFrame::kFlushDone;
+  r.tag = 3;
+  r.mem_cycles = 0x0f3a;
+  cases.push_back({r,
+                   "11000000"
+                   "44"
+                   "0300000000000000"
+                   "3a0f000000000000"});
+  r = tile::Response{};
+  r.kind = tile::RespFrame::kError;
+  r.tag = 8;
+  r.error = "no";
+  cases.push_back({r,
+                   "0f000000"
+                   "45"
+                   "0800000000000000"
+                   "02000000"
+                   "6e6f"});
+  r = tile::Response{};
+  r.kind = tile::RespFrame::kBusy;
+  r.tag = 0xb0b0;
+  r.free_slots = 3;
+  cases.push_back({r,
+                   "11000000"
+                   "42"
+                   "b0b0000000000000"
+                   "0300000000000000"});
+  r = tile::Response{};
+  r.kind = tile::RespFrame::kPong;
+  r.tag = 0xfe;
+  cases.push_back({r,
+                   "09000000"
+                   "50"
+                   "fe00000000000000"});
+  r = tile::Response{};
+  r.kind = tile::RespFrame::kStats;
+  r.stats = {1, 2, 3, 4, 5, 6, 7, 8, 0x0102030405060708ull};
+  cases.push_back({r,
+                   "49000000"
+                   "53"
+                   "0100000000000000"
+                   "0200000000000000"
+                   "0300000000000000"
+                   "0400000000000000"
+                   "0500000000000000"
+                   "0600000000000000"
+                   "0700000000000000"
+                   "0800000000000000"
+                   "0807060504030201"});
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> bytes = {0xaa};  // encoders append
+    tile::encode_response(c.resp, bytes);
+    EXPECT_EQ(hex(bytes), std::string("aa") + c.want)
+        << "response '" << static_cast<char>(c.resp.kind) << "'";
+  }
 }
 
 TEST(TileFrame, ReaderHandlesArbitrarySplits) {
