@@ -59,59 +59,6 @@ RunResult finalize(const std::string& workload, sys::MemorySystem& mem,
   return r;
 }
 
-/// Reusable per-thread arena for the multiprogrammed loops (sized once per
-/// run, capacity retained across runs so repeated sweep configs don't churn
-/// allocations). SoA layout: each array is indexed by dense core id.
-struct RunnerScratch {
-  // Completion routing: per-core buckets plus the list of cores whose
-  // bucket is non-empty since the last drain (so clearing is O(touched),
-  // not O(cores)).
-  std::vector<std::vector<mem::MemRequest>> per_core;
-  std::vector<std::uint32_t> touched;
-  std::vector<mem::MemRequest> done;
-
-  std::vector<Cycle> due;                  // backpressure probe dues
-  std::vector<Cycle> synced;               // first cycle not yet executed
-  std::vector<cpu::RobCpu::Action> acts;   // last classified action
-  std::vector<std::uint8_t> stamp;         // calendar woken-set dedup
-  std::vector<std::uint32_t> woken_list;   // calendar woken set (sorted)
-  std::vector<std::uint32_t> due_now;      // calendar collect_due output
-  std::vector<std::uint32_t> bp_list;      // dense backpressured-core list
-  std::vector<std::uint32_t> bp_pos;       // core -> bp_list index or npos
-  WakeCalendar calendar;
-
-  static constexpr std::uint32_t kNpos = ~std::uint32_t{0};
-
-  void prepare(std::size_t n, std::size_t bucket_reserve) {
-    if (per_core.size() < n) per_core.resize(n);
-    for (std::size_t i = 0; i < n; ++i) per_core[i].clear();
-    // The old per-call code reserved every bucket at the full drain bound;
-    // keep that for small core counts, let growth amortize (and persist
-    // across runs) at thousand-core scale where n * bound would dominate.
-    if (n <= 64 && bucket_reserve > 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        per_core[i].reserve(bucket_reserve);
-      }
-    }
-    touched.clear();
-    done.clear();
-    due.assign(n, 0);
-    synced.assign(n, 0);
-    acts.assign(n, cpu::RobCpu::Action{});
-    stamp.assign(n, 0);
-    woken_list.clear();
-    due_now.clear();
-    bp_list.clear();
-    bp_pos.assign(n, kNpos);
-  }
-};
-
-RunnerScratch& runner_scratch() {
-  // thread_local: SweepRunner drives these loops from a worker pool.
-  thread_local RunnerScratch s;
-  return s;
-}
-
 // ------------------------------------------------------------ diff helpers
 
 class Differ {
@@ -216,27 +163,22 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
   };
 
   const std::size_t n = cores.size();
-  // Per-core runner state lives in a reusable per-thread arena (completion
-  // buckets, due/synced/action arrays, the wake calendar), sized once here
-  // and recycled across runs.
-  RunnerScratch& scratch = runner_scratch();
-  scratch.prepare(n, mem.config().controller.read_queue_cap * mem.channels());
-  std::vector<mem::MemRequest>& done = scratch.done;
-  std::vector<std::vector<mem::MemRequest>>& per_core = scratch.per_core;
-
   // Completions routed by cpu_tag, so each core scans only its own
   // requests instead of every core scanning the full drain. `touched`
   // lists the non-empty buckets, so clearing costs O(touched) rather than
   // O(cores) per drain.
+  std::vector<mem::MemRequest> done;
+  std::vector<std::vector<mem::MemRequest>> per_core(n);
+  std::vector<std::uint32_t> touched;
   const auto route_completions = [&]() {
-    for (const std::uint32_t i : scratch.touched) per_core[i].clear();
-    scratch.touched.clear();
+    for (const std::uint32_t i : touched) per_core[i].clear();
+    touched.clear();
     mem.drain_completed(done);
     if (done.empty()) return false;
     for (const mem::MemRequest& r : done) {
       if (r.is_read() && r.cpu_tag < n) {
         if (per_core[r.cpu_tag].empty()) {
-          scratch.touched.push_back(static_cast<std::uint32_t>(r.cpu_tag));
+          touched.push_back(static_cast<std::uint32_t>(r.cpu_tag));
         }
         per_core[r.cpu_tag].push_back(r);
       }
@@ -288,9 +230,9 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
   using ActionKind = cpu::RobCpu::ActionKind;
   const bool windows = mem.lazy_scheduling();
   const obs::Observer* const observer = mem.observer();
-  std::vector<Cycle>& due = scratch.due;
-  std::vector<Cycle>& synced = scratch.synced;
-  std::vector<cpu::RobCpu::Action>& acts = scratch.acts;
+  std::vector<Cycle> due(n, 0);     // backpressured cores' retry cycles
+  std::vector<Cycle> synced(n, 0);  // first cycle not yet executed
+  std::vector<cpu::RobCpu::Action> acts(n);  // last classified action
   std::size_t unfinished = n;
   const auto catch_up = [&](std::size_t i, Cycle c) {
     if (synced[i] < c) {
@@ -299,14 +241,14 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
     }
   };
 
-  WakeCalendar& cal = scratch.calendar;
+  WakeCalendar cal;
   cal.reset(n);
-  std::vector<std::uint32_t>& woken_list = scratch.woken_list;
-  std::vector<std::uint32_t>& due_now = scratch.due_now;
-  std::vector<std::uint8_t>& stamp = scratch.stamp;
-  std::vector<std::uint32_t>& bp_list = scratch.bp_list;
-  std::vector<std::uint32_t>& bp_pos = scratch.bp_pos;
-  constexpr std::uint32_t kNpos = RunnerScratch::kNpos;
+  std::vector<std::uint32_t> woken_list;  // woken set, sorted before ticks
+  std::vector<std::uint32_t> due_now;     // collect_due output
+  std::vector<std::uint8_t> stamp(n, 0);  // woken-set dedup
+  constexpr std::uint32_t kNpos = ~std::uint32_t{0};
+  std::vector<std::uint32_t> bp_list;          // dense backpressured cores
+  std::vector<std::uint32_t> bp_pos(n, kNpos);  // core -> bp_list index
   const auto wake = [&](std::uint32_t i) {
     if (!stamp[i]) {
       stamp[i] = 1;
@@ -330,7 +272,7 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
     if (t >= max_mem_cycles) throw overrun();
     route_completions();
     woken_list.clear();
-    for (const std::uint32_t i : scratch.touched) {
+    for (const std::uint32_t i : touched) {
       if (!cores[i]->finished()) wake(i);
     }
     due_now.clear();
@@ -428,9 +370,6 @@ auto run_cores_loop(const std::vector<trace::RecordSource*>& sources,
     // An observer turns windows off (no channel was advanced), and its next
     // sample lies past t, so the cap keeps next > t.
     if (observer != nullptr) next = std::min(next, observer->next_sample());
-    // next <= min_due (every branch is bound by it), so the calendar base
-    // never jumps past an armed wake.
-    cal.advance_to(next);
     t = next;
   }
   return assemble(mem, cores, t);

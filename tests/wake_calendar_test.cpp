@@ -1,6 +1,6 @@
 // Tests for the indexed wake calendar (DESIGN.md §16): unit behaviour of
-// the wheel/heap/lazy-invalidation structure, a randomized model-based fuzz
-// (wakes never overshoot, min_due is exact), and the differential matrix
+// the lazy-invalidation heap, a randomized model-based fuzz (wakes never
+// overshoot, min_due is exact), and the differential matrix
 // pinning the calendar-scheduled multiprogrammed loop bit-identical to the
 // cycle-accurate reference, with and without an observer attached.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/runner.hpp"
@@ -26,7 +27,6 @@ TEST(WakeCalendar, CollectsExactlyTheDueCores) {
   cal.schedule(1, 3);
   cal.schedule(2, 9);
   EXPECT_EQ(cal.min_due(), 3u);
-  cal.advance_to(3);
   std::vector<std::uint32_t> out;
   cal.collect_due(5, out);
   std::sort(out.begin(), out.end());
@@ -44,8 +44,7 @@ TEST(WakeCalendar, CancelDisarmsLazily) {
   cal.schedule(1, 20);
   cal.cancel(0);
   EXPECT_FALSE(cal.armed(0));
-  EXPECT_EQ(cal.min_due(), 20u);  // stale slot-10 entry compacted
-  cal.advance_to(20);
+  EXPECT_EQ(cal.min_due(), 20u);  // stale cycle-10 entry dropped
   std::vector<std::uint32_t> out;
   cal.collect_due(20, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1}));
@@ -57,31 +56,28 @@ TEST(WakeCalendar, RescheduleEarlierWinsImmediately) {
   cal.schedule(0, 100);
   cal.schedule(0, 40);  // completion pulled the wake earlier
   EXPECT_EQ(cal.min_due(), 40u);
-  cal.advance_to(40);
   std::vector<std::uint32_t> out;
   cal.collect_due(40, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
   out.clear();
   // The stale cycle-100 entry must not resurrect the core.
-  cal.advance_to(100);
   cal.collect_due(100, out);
   EXPECT_TRUE(out.empty());
 }
 
-TEST(WakeCalendar, FarWakesMigrateFromTheHeap) {
+TEST(WakeCalendar, FarWakeIsCollectedAtItsOwnCycle) {
   WakeCalendar cal;
   cal.reset(3);
-  cal.schedule(0, 10'000);  // beyond the 4096-slot window: heap
+  cal.schedule(0, 10'000);
   cal.schedule(1, 50);
   EXPECT_EQ(cal.min_due(), 50u);
   std::vector<std::uint32_t> out;
-  cal.advance_to(50);
   cal.collect_due(50, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(cal.min_due(), 10'000u);
-  cal.advance_to(9'000);  // migrates the far entry into the wheel
   out.clear();
-  cal.advance_to(10'000);
+  cal.collect_due(9'999, out);  // one cycle early: nothing is due
+  EXPECT_TRUE(out.empty());
   cal.collect_due(10'000, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
 }
@@ -92,27 +88,23 @@ TEST(WakeCalendar, CancelledFarEntryStaysDead) {
   cal.schedule(0, 20'000);
   cal.cancel(0);
   EXPECT_EQ(cal.min_due(), kNeverCycle);
-  cal.advance_to(19'000);
-  cal.advance_to(20'000);
   std::vector<std::uint32_t> out;
   cal.collect_due(20'000, out);
   EXPECT_TRUE(out.empty());
 }
 
-TEST(WakeCalendar, WindowWrapKeepsCyclesDistinct) {
+TEST(WakeCalendar, WakesAcrossCycle4096StayDistinct) {
   WakeCalendar cal;
-  cal.reset(4, /*base=*/4090);  // slots wrap modulo 4096 around this base
+  cal.reset(4);
   cal.schedule(0, 4093);
-  cal.schedule(1, 4099);  // wraps to a low slot index
+  cal.schedule(1, 4099);  // on the far side of cycle 4096
   cal.schedule(2, 4090 + 4000);
   EXPECT_EQ(cal.min_due(), 4093u);
   std::vector<std::uint32_t> out;
-  cal.advance_to(4093);
   cal.collect_due(4093, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(cal.min_due(), 4099u);
   out.clear();
-  cal.advance_to(4099);
   cal.collect_due(4099, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(cal.min_due(), 4090u + 4000u);
@@ -122,66 +114,67 @@ TEST(WakeCalendar, ResetReusesCapacityCleanly) {
   WakeCalendar cal;
   cal.reset(16);
   for (std::uint32_t i = 0; i < 16; ++i) cal.schedule(i, 7 + i);
-  cal.reset(4, /*base=*/100);  // old entries must not leak through
+  cal.reset(4);  // old entries must not leak through
   EXPECT_EQ(cal.min_due(), kNeverCycle);
   cal.schedule(3, 105);
   EXPECT_EQ(cal.min_due(), 105u);
   std::vector<std::uint32_t> out;
-  cal.advance_to(105);
   cal.collect_due(105, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{3}));
 }
 
 // Model-based fuzz: random schedules, cancels (completion deliveries), and
 // earlier re-schedules (completion-reorder pulls) against a naive per-core
-// due map. At every advance the calendar's min_due must equal the model's
-// minimum, and collect_due must return exactly the model's due set — wakes
-// never overshoot (no armed core is skipped past) and never resurrect.
+// due map. At every collection the calendar's min_due must equal the
+// model's minimum, and collect_due must return exactly the model's due set
+// — wakes never overshoot (no armed core is skipped past) and never
+// resurrect. At 1024 cores a collection reaches few of the cores, so the
+// stale entries of cancels and pulls pile up into a deeper heap than at 64.
 TEST(WakeCalendar, RandomizedModelFuzz) {
-  std::mt19937 rng(12345);
-  constexpr std::uint32_t kCores = 64;
-  WakeCalendar cal;
-  std::vector<Cycle> model(kCores, kNeverCycle);
-  cal.reset(kCores);
-  Cycle base = 0;
-  for (int round = 0; round < 20'000; ++round) {
-    const int action = static_cast<int>(rng() % 100);
-    const std::uint32_t core = rng() % kCores;
-    if (action < 55) {
-      // Schedule: near wakes dominate, with occasional far (heap) wakes.
-      const Cycle due =
-          base + (rng() % 10 == 0 ? 4096 + rng() % 100'000 : rng() % 4000);
-      cal.schedule(core, due);
-      model[core] = due;
-    } else if (action < 70) {
-      cal.cancel(core);  // completion woke it early
-      model[core] = kNeverCycle;
-    } else if (action < 80 && model[core] != kNeverCycle &&
-               model[core] > base) {
-      // Completion-reorder pull: re-arm strictly earlier than before.
-      const Cycle due = base + rng() % (model[core] - base);
-      cal.schedule(core, due);
-      model[core] = due;
-    } else {
-      // Advance to the earliest wake and collect. Never past min_due: the
-      // runner's jump is bounded by it.
-      const Cycle model_min = *std::min_element(model.begin(), model.end());
-      ASSERT_EQ(cal.min_due(), model_min) << "round " << round;
-      if (model_min == kNeverCycle) continue;
-      const Cycle t = model_min + rng() % 16;  // collect a small batch
-      base = std::min(t, model_min);
-      cal.advance_to(base);
-      std::vector<std::uint32_t> got;
-      cal.collect_due(std::min<Cycle>(t, base + 4095), got);
-      std::vector<std::uint32_t> want;
-      for (std::uint32_t i = 0; i < kCores; ++i) {
-        if (model[i] <= std::min<Cycle>(t, base + 4095)) {
-          want.push_back(i);
-          model[i] = kNeverCycle;
+  for (const std::uint32_t cores : {64u, 1024u}) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    std::mt19937 rng(12345);
+    WakeCalendar cal;
+    std::vector<Cycle> model(cores, kNeverCycle);
+    cal.reset(cores);
+    Cycle base = 0;
+    for (int round = 0; round < 20'000; ++round) {
+      const int action = static_cast<int>(rng() % 100);
+      const std::uint32_t core = rng() % cores;
+      if (action < 55) {
+        // Schedule: near wakes dominate, with occasional far wakes.
+        const Cycle due =
+            base + (rng() % 10 == 0 ? 4096 + rng() % 100'000 : rng() % 4000);
+        cal.schedule(core, due);
+        model[core] = due;
+      } else if (action < 70) {
+        cal.cancel(core);  // completion woke it early
+        model[core] = kNeverCycle;
+      } else if (action < 80 && model[core] != kNeverCycle &&
+                 model[core] > base) {
+        // Completion-reorder pull: re-arm strictly earlier than before.
+        const Cycle due = base + rng() % (model[core] - base);
+        cal.schedule(core, due);
+        model[core] = due;
+      } else {
+        // Collect a small batch at or just past the earliest wake.
+        const Cycle model_min = *std::min_element(model.begin(), model.end());
+        ASSERT_EQ(cal.min_due(), model_min) << "round " << round;
+        if (model_min == kNeverCycle) continue;
+        const Cycle t = model_min + rng() % 16;
+        base = model_min;
+        std::vector<std::uint32_t> got;
+        cal.collect_due(t, got);
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t i = 0; i < cores; ++i) {
+          if (model[i] <= t) {
+            want.push_back(i);
+            model[i] = kNeverCycle;
+          }
         }
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "round " << round;
       }
-      std::sort(got.begin(), got.end());
-      ASSERT_EQ(got, want) << "round " << round;
     }
   }
 }
@@ -257,23 +250,31 @@ TEST(WakeCalendarDifferential, HybridMatrix) {
   }
 }
 
-// 256 cores are checked against the cycle-accurate reference; 1024 cores
-// run skip-only, because the reference there would dominate suite wall
-// time without adding coverage beyond the 256-core comparison.
-TEST(WakeCalendarDifferential, ManyCoreSkipIdentity) {
-  // Four channels keep aggregate demand below the service rate (the same
-  // operating point as the perf_smoke many-core scenario) so the test runs
-  // in seconds instead of grinding through a fully saturated memory.
+// Four channels keep aggregate demand below the service rate (the same
+// operating point as the perf_smoke many-core scenario) so the many-core
+// runs take seconds instead of grinding through a fully saturated memory.
+sys::SystemConfig four_channel_config() {
   sys::SystemConfig cfg = sys::fgnvm_config(4, 4);
   cfg.geometry.channels = 4;
   cfg.geometry.validate();
-  const auto low_intensity = [](std::size_t cores) {
-    return mixed_traces(cores, 48, /*mpki=*/25.6 / static_cast<double>(cores));
-  };
-  expect_identical(low_intensity(256), cfg, "fgnvm ch4 x 256");
+  return cfg;
+}
 
+std::vector<trace::Trace> low_intensity(std::size_t cores) {
+  return mixed_traces(cores, 48, /*mpki=*/25.6 / static_cast<double>(cores));
+}
+
+// 256 cores are checked against the cycle-accurate reference; 1024 cores
+// run skip-only (ManyCoreSkipSmoke), because the reference there would
+// dominate suite wall time without adding coverage beyond this comparison.
+TEST(WakeCalendarDifferential, ManyCoreSkipIdentity) {
+  expect_identical(low_intensity(256), four_channel_config(),
+                   "fgnvm ch4 x 256");
+}
+
+TEST(WakeCalendarDifferential, ManyCoreSkipSmoke) {
   const MultiProgramResult smoke =
-      run_mp(low_intensity(1024), cfg, LoopMode::kEventSkip);
+      run_mp(low_intensity(1024), four_channel_config(), LoopMode::kEventSkip);
   ASSERT_EQ(smoke.ipc.size(), 1024u);
   for (std::size_t i = 0; i < smoke.ipc.size(); ++i) {
     EXPECT_GT(smoke.ipc[i], 0.0) << "tenant " << i;
@@ -298,9 +299,9 @@ TEST(WakeCalendarDifferential, ObserverModeMatchesCycleAccurate) {
   EXPECT_GT(h.obs->series().samples().size(), 8u);
 }
 
-// Streamed sources and materialized cursors must drive the multiprogrammed
-// calendar loop to byte-identical stats (the runner-level counterpart of
-// StreamTest.StreamedRunByteIdenticalToMaterialized).
+// Slowdowns against each tenant's alone IPC feed max slowdown, harmonic
+// speedup and fairness consistently, and every helper rejects an alone
+// vector whose arity differs from the core count.
 TEST(WakeCalendarDifferential, FairnessHelpersAreConsistent) {
   const auto traces = mixed_traces(4, 400);
   const sys::SystemConfig cfg = sys::fgnvm_config(4, 4);
